@@ -12,7 +12,7 @@ use light_pattern::Query;
 
 fn bench_planning(c: &mut Criterion) {
     let g = generators::barabasi_albert(20_000, 8, 3);
-    let est = Estimator::from_graph(&g);
+    let est = Estimator::from_stats(&light_graph::stats::compute_stats(&g));
 
     let mut group = c.benchmark_group("planning");
     for q in Query::ALL {

@@ -36,7 +36,7 @@
 //! candidate sets alone.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 use light_graph::{VertexId, INVALID_VERTEX};
 
@@ -252,7 +252,7 @@ impl Default for SharedSlot {
 pub struct SharedAuxCounters {
     /// Lookups answered from the store.
     pub hits: u64,
-    /// Lookups that found nothing (or a stale generation).
+    /// Lookups that found nothing (or another generation's entry).
     pub misses: u64,
     /// Results inserted.
     pub stores: u64,
@@ -271,17 +271,19 @@ pub struct SharedAuxCounters {
 /// query's work.
 ///
 /// * **Read-mostly**: lookups take a shard read lock and copy out.
-/// * **Stamp-invalidated**: [`SharedAuxStore::invalidate`] bumps a
-///   generation counter; entries filled under an older generation miss and
-///   are overwritten lazily (the serve tier bumps it when a catalog entry's
-///   backing data changes).
+/// * **Generation-stamped**: queries reach the store through a
+///   [`SharedAuxHandle`] carrying the generation of the graph view they
+///   run on; an entry is stamped with its writer's generation and answers
+///   only readers of the same one. A mutated graph needs no invalidation
+///   step — entries of older generations miss and are overwritten lazily —
+///   and a query still running on the old view can neither read nor
+///   publish across the commit.
 /// * **`--max-memory`-aware**: a store that would cross the byte watermark
 ///   evicts *everything* (returning heap to the allocator) and skips the
 ///   insert — graceful degradation, exactly like the intra-query tier.
 #[derive(Debug)]
 pub struct SharedAuxStore {
     shards: Vec<RwLock<Vec<SharedSlot>>>,
-    generation: AtomicU64,
     bytes: AtomicUsize,
     max_bytes: Option<usize>,
     hits: AtomicU64,
@@ -303,7 +305,6 @@ impl SharedAuxStore {
                     )
                 })
                 .collect(),
-            generation: AtomicU64::new(1),
             bytes: AtomicUsize::new(0),
             max_bytes,
             hits: AtomicU64::new(0),
@@ -322,14 +323,18 @@ impl SharedAuxStore {
         )
     }
 
-    /// Copy the stored result for `key` into `out` (replacing its
-    /// contents). Returns whether the lookup hit. Poisoned shards are
-    /// treated as misses — a writer that panicked mid-copy never published
-    /// its key (same discipline as [`AuxCache::store`]), but declining to
-    /// read a poisoned shard costs only a recompute.
-    pub fn lookup(&self, key: &SharedKey, out: &mut Vec<VertexId>) -> bool {
+    /// A query's handle on this store: every lookup and store through it
+    /// is stamped with `generation`, the generation of the graph view the
+    /// query runs on (any fixed value for a graph that never changes).
+    pub fn at(self: &Arc<Self>, generation: u64) -> SharedAuxHandle {
+        SharedAuxHandle {
+            store: Arc::clone(self),
+            generation,
+        }
+    }
+
+    fn lookup(&self, generation: u64, key: &SharedKey, out: &mut Vec<VertexId>) -> bool {
         let (shard, slot) = Self::place(key);
-        let generation = self.generation.load(Ordering::Acquire);
         let Ok(guard) = self.shards[shard].read() else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return false;
@@ -346,11 +351,8 @@ impl SharedAuxStore {
         }
     }
 
-    /// Insert `data` for `key`. Under watermark pressure the store empties
-    /// itself and skips the insert.
-    pub fn store(&self, key: &SharedKey, data: &[VertexId]) {
+    fn store(&self, generation: u64, key: &SharedKey, data: &[VertexId]) {
         let (shard, slot) = Self::place(key);
-        let generation = self.generation.load(Ordering::Acquire);
         let projected = self.bytes.load(Ordering::Relaxed) + data.len() * 4;
         if let Some(max) = self.max_bytes {
             if projected > max {
@@ -406,12 +408,6 @@ impl SharedAuxStore {
         n
     }
 
-    /// Invalidate every resident entry in O(1): bump the generation stamp.
-    /// Buffers stay resident and are overwritten lazily.
-    pub fn invalidate(&self) {
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
     /// Bytes of buffer capacity currently resident.
     pub fn bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
@@ -426,6 +422,33 @@ impl SharedAuxStore {
             evictions: self.evictions.load(Ordering::Relaxed),
             bytes: self.bytes(),
         }
+    }
+}
+
+/// One query's view of a [`SharedAuxStore`]: the store plus the generation
+/// of the graph the query enumerates. This is what
+/// [`EngineConfig::shared_aux`](crate::EngineConfig) holds.
+#[derive(Debug, Clone)]
+pub struct SharedAuxHandle {
+    store: Arc<SharedAuxStore>,
+    generation: u64,
+}
+
+impl SharedAuxHandle {
+    /// Copy the result stored for `key` at this handle's generation into
+    /// `out` (replacing its contents). Returns whether the lookup hit.
+    /// Poisoned shards are treated as misses — a writer that panicked
+    /// mid-copy never published its key (same discipline as
+    /// [`AuxCache::store`]), but declining to read a poisoned shard costs
+    /// only a recompute.
+    pub fn lookup(&self, key: &SharedKey, out: &mut Vec<VertexId>) -> bool {
+        self.store.lookup(self.generation, key, out)
+    }
+
+    /// Insert `data` for `key` at this handle's generation. Under watermark
+    /// pressure the store empties itself and skips the insert.
+    pub fn store(&self, key: &SharedKey, data: &[VertexId]) {
+        self.store.store(self.generation, key, data)
     }
 }
 
@@ -520,44 +543,51 @@ mod tests {
 
     #[test]
     fn shared_store_roundtrip_and_counters() {
-        let s = SharedAuxStore::new(None);
+        let store = Arc::new(SharedAuxStore::new(None));
+        let s = store.at(0);
         let k = SharedKey::new(&[7, 2]).unwrap();
         let mut out = vec![99];
         assert!(!s.lookup(&k, &mut out));
         s.store(&k, &[10, 20, 30]);
         assert!(s.lookup(&k, &mut out));
         assert_eq!(out, vec![10, 20, 30]);
-        let c = s.counters();
+        let c = store.counters();
         assert_eq!((c.hits, c.misses, c.stores), (1, 1, 1));
         assert!(c.bytes >= 12);
     }
 
     #[test]
-    fn shared_store_generation_invalidates() {
-        let s = SharedAuxStore::new(None);
+    fn entries_answer_only_their_own_generation() {
+        // A query on generation 3 publishes after generation 4 exists.
+        let store = Arc::new(SharedAuxStore::new(None));
         let k = SharedKey::new(&[4, 9]).unwrap();
-        s.store(&k, &[1]);
+        let old_query = store.at(3);
+        let new_query = store.at(4);
+        old_query.store(&k, &[1]);
         let mut out = Vec::new();
-        assert!(s.lookup(&k, &mut out));
-        s.invalidate();
-        assert!(!s.lookup(&k, &mut out), "stale generation must miss");
-        s.store(&k, &[2]);
-        assert!(s.lookup(&k, &mut out));
+        assert!(!new_query.lookup(&k, &mut out), "old-graph entry served");
+        assert!(old_query.lookup(&k, &mut out));
+        assert_eq!(out, vec![1]);
+        // The new generation overwrites the slot; the straggler then misses.
+        new_query.store(&k, &[2]);
+        assert!(new_query.lookup(&k, &mut out));
         assert_eq!(out, vec![2]);
+        assert!(!old_query.lookup(&k, &mut out));
     }
 
     #[test]
     fn shared_store_watermark_evicts_all_and_skips() {
-        let s = SharedAuxStore::new(Some(64));
+        let store = Arc::new(SharedAuxStore::new(Some(64)));
+        let s = store.at(0);
         let a = SharedKey::new(&[1, 2]).unwrap();
         s.store(&a, &[0; 8]); // 32 bytes, fits
-        assert!(s.bytes() >= 32);
+        assert!(store.bytes() >= 32);
         let b = SharedKey::new(&[3, 4]).unwrap();
         s.store(&b, &[0; 20]); // would cross: evict all, skip
         let mut out = Vec::new();
         assert!(!s.lookup(&a, &mut out));
         assert!(!s.lookup(&b, &mut out));
-        assert_eq!(s.bytes(), 0);
-        assert!(s.counters().evictions >= 1);
+        assert_eq!(store.bytes(), 0);
+        assert!(store.counters().evictions >= 1);
     }
 }

@@ -3,12 +3,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use light_graph::VertexId;
-use light_pattern::PatternVertex;
-
-use light_graph::CsrGraph;
+use light_graph::stats::{compute_stats, GraphStats};
+use light_graph::{CsrGraph, VertexId};
 use light_order::plan::{CandidateStrategy, Materialization, QueryPlan};
-use light_pattern::PatternGraph;
+use light_pattern::{PartialOrder, PatternGraph, PatternVertex};
 use light_setops::{IntersectKind, DEFAULT_DELTA};
 
 /// The four engine variants of §VIII-B1.
@@ -96,12 +94,13 @@ pub struct EngineConfig {
     /// driver divides its process-wide budget by the worker count).
     /// Crossing it stops the run with [`crate::Outcome::MemoryExceeded`].
     pub max_memory_bytes: Option<usize>,
-    /// Optional cross-query auxiliary store (per data graph): memoized
-    /// all-K1 intersections shared across concurrent enumerations. The
-    /// store self-watermarks; it is count-neutral by construction (it only
-    /// caches pure `∩ N(vᵢ)` results). `None` — the default — keeps the
-    /// hot path lock-free.
-    pub shared_aux: Option<Arc<crate::auxcache::SharedAuxStore>>,
+    /// Optional cross-query auxiliary store (per data graph), reached
+    /// through a handle stamped with the generation of the graph this run
+    /// enumerates: memoized all-K1 intersections shared across concurrent
+    /// enumerations of that generation. The store self-watermarks; it is
+    /// count-neutral by construction (it only caches pure `∩ N(vᵢ)`
+    /// results). `None` — the default — keeps the hot path lock-free.
+    pub shared_aux: Option<crate::auxcache::SharedAuxHandle>,
     /// Metrics sink: attach a live [`light_metrics::Recorder`] to collect
     /// per-slot COMP/MAT counters, candidate histograms, and setops tier
     /// breakdowns. Disabled by default; inert unless the `metrics` feature
@@ -212,9 +211,9 @@ impl EngineConfig {
     }
 
     /// Builder-style cross-query auxiliary store attachment (see
-    /// [`crate::SharedAuxStore`]).
-    pub fn shared_aux(mut self, store: Arc<crate::auxcache::SharedAuxStore>) -> Self {
-        self.shared_aux = Some(store);
+    /// [`crate::SharedAuxStore::at`]).
+    pub fn shared_aux(mut self, handle: crate::auxcache::SharedAuxHandle) -> Self {
+        self.shared_aux = Some(handle);
         self
     }
 
@@ -233,19 +232,23 @@ impl EngineConfig {
         self
     }
 
-    /// Build the query plan this configuration implies for `(pattern, g)`.
+    /// Build the query plan this configuration implies for `(pattern, g)`:
+    /// compute `g`'s stats, then [`EngineConfig::plan_from_stats`].
     pub fn plan(&self, pattern: &PatternGraph, g: &CsrGraph) -> QueryPlan {
+        self.plan_from_stats(pattern, &compute_stats(g))
+    }
+
+    /// Build the query plan this configuration implies for a pattern on a
+    /// data graph with the given stats. Without symmetry breaking there is
+    /// no partial order to respect; the optimizer still picks π.
+    pub fn plan_from_stats(&self, pattern: &PatternGraph, stats: &GraphStats) -> QueryPlan {
         let (mat, strat) = self.variant.knobs();
-        if self.symmetry_breaking {
-            QueryPlan::optimized_tuned(pattern, g, mat, strat, self.aux_threshold)
+        let po = if self.symmetry_breaking {
+            PartialOrder::for_pattern(pattern)
         } else {
-            // Without symmetry breaking there is no partial order to
-            // respect; still use the optimizer for π.
-            let est = light_order::estimate::Estimator::from_graph(g);
-            let po = light_pattern::PartialOrder::none();
-            let pi = light_order::cost::choose_order(pattern, &po, &est);
-            QueryPlan::with_order_estimated(pattern, &pi, po, mat, strat, &est, self.aux_threshold)
-        }
+            PartialOrder::none()
+        };
+        QueryPlan::from_stats(pattern, stats, po, mat, strat, self.aux_threshold)
     }
 }
 

@@ -55,7 +55,7 @@ use light_order::exec_order::ExecOp;
 use light_order::{QueryPlan, TrimDirective};
 use light_setops::{intersect_many_recorded, trim_into, Intersector};
 
-use crate::auxcache::{AuxCache, SharedAuxStore, SharedKey, SHARED_KEY_MAX};
+use crate::auxcache::{AuxCache, SharedAuxHandle, SharedKey, SHARED_KEY_MAX};
 use crate::config::EngineConfig;
 use crate::pool::BufferPool;
 use crate::report::{EnumStats, Outcome, Report};
@@ -104,7 +104,7 @@ pub struct Enumerator<'a, V: MatchVisitor> {
     aux: Option<AuxCache>,
     // Cross-query shared tier: pure all-K1 intersections memoized per
     // graph, visible to every concurrent enumerator (DESIGN.md §16).
-    shared: Option<std::sync::Arc<SharedAuxStore>>,
+    shared: Option<SharedAuxHandle>,
     bind_serial: u64,
     bind_stamp: Vec<u64>,
 
@@ -441,12 +441,12 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
             // query's whole φ-prefix and disqualifies the COMP.
             let mut have_result = aux_hit;
             let mut shared_key: Option<SharedKey> = None;
-            if !have_result && self.shared.is_some() {
+            let shared = self.shared.as_ref().filter(|_| !have_result);
+            if let Some(store) = shared {
                 let ops = &self.plan.operands()[u as usize];
                 if let Some(key) = shared_probe_key(&ops.k1, &ops.k2, &self.phi, |w| {
                     resolve_nbr(&self.cand_ref, w)
                 }) {
-                    let store = self.shared.as_deref().expect("probed under is_some");
                     if store.lookup(&key, &mut out) {
                         have_result = true;
                         self.stats.aux.shared_hits += 1;
@@ -1219,7 +1219,7 @@ mod tests {
         let g = generators::barabasi_albert(250, 5, 41);
         let base = EngineConfig::light();
         let store = std::sync::Arc::new(crate::auxcache::SharedAuxStore::new(None));
-        let cfg = base.clone().shared_aux(std::sync::Arc::clone(&store));
+        let cfg = base.clone().shared_aux(store.at(0));
         for q in [Query::Triangle, Query::P1, Query::P2] {
             let p = q.pattern();
             let baseline = count(&p, &g, &base);

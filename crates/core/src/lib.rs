@@ -44,7 +44,7 @@ pub mod reference;
 pub mod report;
 pub mod visitor;
 
-pub use auxcache::{AuxCache, SharedAuxCounters, SharedAuxStore, SharedKey};
+pub use auxcache::{AuxCache, SharedAuxCounters, SharedAuxHandle, SharedAuxStore, SharedKey};
 pub use cancel::CancelToken;
 pub use config::{EngineConfig, EngineVariant};
 pub use delta_count::{automorphism_count, count_raw_through, raw_delta};

@@ -38,7 +38,7 @@ use light_graph::{CsrGraph, VertexId, INVALID_VERTEX};
 use light_order::multiplan::{MultiNode, MultiPlan, NormOp};
 use light_setops::{intersect_many_recorded, Intersector};
 
-use crate::auxcache::{SharedAuxStore, SharedKey};
+use crate::auxcache::{SharedAuxHandle, SharedKey};
 use crate::cancel::CancelToken;
 use crate::config::EngineConfig;
 use crate::engine::DEADLINE_POLL_PERIOD;
@@ -135,7 +135,7 @@ pub struct MultiEnumerator<'a, V: MultiVisitor> {
     visitor: &'a mut V,
     isec: Intersector,
     symmetry: bool,
-    shared: Option<std::sync::Arc<SharedAuxStore>>,
+    shared: Option<SharedAuxHandle>,
 
     phi: Vec<VertexId>,
     cands: Vec<Vec<VertexId>>,
@@ -410,13 +410,12 @@ impl<'a, V: MultiVisitor> MultiEnumerator<'a, V> {
             // neighbor list (K1 always; K2 via its alias chain).
             let mut have_result = false;
             let mut shared_key: Option<SharedKey> = None;
-            if self.shared.is_some() {
+            if let Some(store) = &self.shared {
                 if let Some(key) =
                     crate::engine::shared_probe_key(&ops.k1, &ops.k2, &self.phi, |w| {
                         resolve_slot_nbr(&self.cand_ref, w)
                     })
                 {
-                    let store = self.shared.as_deref().expect("probed under is_some");
                     if store.lookup(&key, &mut out) {
                         have_result = true;
                         self.stats.aux.shared_hits += 1;
@@ -679,8 +678,8 @@ mod tests {
         let base = EngineConfig::light();
         let qs = [Query::Triangle, Query::P1, Query::P3];
         let baseline = batch_counts(&qs, &g, &base);
-        let store = Arc::new(SharedAuxStore::new(None));
-        let cfg = base.clone().shared_aux(Arc::clone(&store));
+        let store = Arc::new(crate::SharedAuxStore::new(None));
+        let cfg = base.clone().shared_aux(store.at(0));
         // Two passes: the second must hit what the first stored.
         let first = batch_counts(&qs, &g, &cfg);
         let second = batch_counts(&qs, &g, &cfg);

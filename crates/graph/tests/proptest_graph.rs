@@ -1,9 +1,13 @@
 //! Property tests for the graph substrate: CSR invariants, relabeling
-//! correctness, and serialization round trips over arbitrary edge lists.
+//! correctness, serialization round trips over arbitrary edge lists, and the
+//! incremental stats step against the full pass.
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
+
 use light_graph::builder::from_edges;
+use light_graph::delta::DeltaGraph;
 use light_graph::io::{from_snapshot, read_edge_list, to_snapshot, write_edge_list};
 use light_graph::ordered::{into_degree_ordered, is_degree_ordered};
 use light_graph::stats::{compute_stats, count_triangles, degree_histogram};
@@ -12,7 +16,36 @@ fn edge_list() -> impl Strategy<Value = Vec<(u32, u32)>> {
     proptest::collection::vec((0u32..64, 0u32..64), 0..200)
 }
 
+/// One update batch on a small, dense vertex space: `(deletes, inserts,
+/// mirrored, compact)`. The first `mirrored` deletes are also inserted
+/// (same edge in both lists); IDs up to 15 over a base on 0..12 grow the
+/// vertex space; random edges make no-op duplicates and missing deletes.
+type Batch = (Vec<(u32, u32)>, Vec<(u32, u32)>, usize, u8);
+
+fn batches() -> impl Strategy<Value = Vec<Batch>> {
+    let edges = || proptest::collection::vec((0u32..16, 0u32..16), 0..10);
+    proptest::collection::vec((edges(), edges(), 0usize..4, 0u8..2), 0..6)
+}
+
 proptest! {
+    #[test]
+    fn incremental_stats_equal_the_full_pass(
+        base in proptest::collection::vec((0u32..12, 0u32..12), 0..45),
+        batches in batches(),
+    ) {
+        let mut delta = DeltaGraph::new(Arc::new(from_edges(base)));
+        let mut graph = delta.merged_arc();
+        let mut stats = compute_stats(&graph);
+        for (deletes, mut inserts, mirrored, compact) in batches {
+            inserts.extend(deletes.iter().take(mirrored).copied());
+            let report = delta.apply(&deletes, &inserts);
+            let post = delta.merged_arc();
+            stats = stats.after_update(&graph, &post, &report.deleted, &report.inserted);
+            prop_assert_eq!(stats, compute_stats(&post));
+            graph = if compact == 1 { delta.compact() } else { post };
+        }
+    }
+
     #[test]
     fn builder_output_always_validates(edges in edge_list()) {
         let g = from_edges(edges);

@@ -271,7 +271,7 @@ mod tests {
         let exec = ExecutionOrder::generate(&p, &pi);
         let ops = generate_operands(&p, &pi);
         let g = generators::barabasi_albert(500, 4, 3);
-        let est = Estimator::from_graph(&g);
+        let est = Estimator::from_stats(&light_graph::stats::compute_stats(&g));
         let keep = plan_trims(&p, &exec, &ops, Some(&est), 0.0);
         assert_eq!(keep.len(), 1);
         assert!(keep[0].est_reuse.is_finite() && keep[0].est_reuse >= 1.0);

@@ -131,7 +131,8 @@ mod tests {
     use light_pattern::Query;
 
     fn estimator() -> Estimator {
-        Estimator::from_graph(&generators::barabasi_albert(2000, 4, 11))
+        let g = generators::barabasi_albert(2000, 4, 11);
+        Estimator::from_stats(&light_graph::stats::compute_stats(&g))
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! argues a set intersection is much more expensive than binding a vertex.
 
 use light_graph::stats::GraphStats;
-use light_graph::CsrGraph;
 use light_pattern::small_graph::bits;
 use light_pattern::PatternGraph;
 
@@ -49,11 +48,6 @@ impl Estimator {
             d_biased,
             closure,
         }
-    }
-
-    /// Build from a graph (computes statistics, including a triangle count).
-    pub fn from_graph(g: &CsrGraph) -> Self {
-        Self::from_stats(&light_graph::stats::compute_stats(g))
     }
 
     /// Expand factor of one extension step that adds a vertex with `b >= 1`
@@ -128,11 +122,12 @@ impl Estimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use light_graph::generators;
+    use light_graph::stats::compute_stats;
+    use light_graph::{generators, CsrGraph};
     use light_pattern::Query;
 
     fn est(g: &CsrGraph) -> Estimator {
-        Estimator::from_graph(g)
+        Estimator::from_stats(&compute_stats(g))
     }
 
     #[test]

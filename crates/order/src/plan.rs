@@ -8,6 +8,7 @@
 //! `{eager, lazy} × {plain, set-cover}` plans over the *same* π, which is
 //! how the paper isolates each technique.
 
+use light_graph::stats::{compute_stats, GraphStats};
 use light_graph::CsrGraph;
 use light_pattern::small_graph::bits;
 use light_pattern::symmetry::VertexConstraints;
@@ -87,13 +88,36 @@ impl QueryPlan {
         strategy: CandidateStrategy,
         aux_threshold: f64,
     ) -> QueryPlan {
-        let po = PartialOrder::for_pattern(pattern);
-        let est = Estimator::from_graph(g);
-        let pi = choose_order(pattern, &po, &est);
+        Self::from_stats(
+            pattern,
+            &compute_stats(g),
+            PartialOrder::for_pattern(pattern),
+            materialization,
+            strategy,
+            aux_threshold,
+        )
+    }
+
+    /// The optimizer proper: estimate cardinalities from `stats`, pick the
+    /// best connected order under `partial_order` by Equation 8, and build
+    /// the plan. Every `optimized*` constructor is "compute the stats of
+    /// `g`, then this"; a caller that already holds the graph's stats (the
+    /// serve catalog keeps them per generation) plans without touching the
+    /// graph.
+    pub fn from_stats(
+        pattern: &PatternGraph,
+        stats: &GraphStats,
+        partial_order: PartialOrder,
+        materialization: Materialization,
+        strategy: CandidateStrategy,
+        aux_threshold: f64,
+    ) -> QueryPlan {
+        let est = Estimator::from_stats(stats);
+        let pi = choose_order(pattern, &partial_order, &est);
         Self::build(
             pattern,
             &pi,
-            po,
+            partial_order,
             materialization,
             strategy,
             Some(&est),
@@ -120,30 +144,6 @@ impl QueryPlan {
             strategy,
             None,
             DEFAULT_AUX_THRESHOLD,
-        )
-    }
-
-    /// [`QueryPlan::with_order`] with estimator-driven trim planning —
-    /// the non-symmetry engine path, which picks π itself but still has
-    /// the data graph's statistics.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_order_estimated(
-        pattern: &PatternGraph,
-        pi: &[PatternVertex],
-        partial_order: PartialOrder,
-        materialization: Materialization,
-        strategy: CandidateStrategy,
-        est: &Estimator,
-        aux_threshold: f64,
-    ) -> QueryPlan {
-        Self::build(
-            pattern,
-            pi,
-            partial_order,
-            materialization,
-            strategy,
-            Some(est),
-            aux_threshold,
         )
     }
 

@@ -44,6 +44,7 @@ pub mod scheduler;
 
 pub use multi::{run_multi_parallel, MultiParallelReport};
 pub use scheduler::{
-    run_plan_parallel, run_query_parallel, BalancePolicy, CpuSlot, CpuTopology, InitialPartition,
-    ParallelConfig, ParallelReport, StealTier, TopologyMode, WorkerStats,
+    compute_stats_parallel, run_plan_parallel, run_query_parallel, BalancePolicy, CpuSlot,
+    CpuTopology, InitialPartition, ParallelConfig, ParallelReport, StealTier, TopologyMode,
+    WorkerStats,
 };

@@ -94,6 +94,7 @@ use parking_lot::{Condvar, Mutex};
 
 use light_core::error::panic_payload_string;
 use light_core::{CountVisitor, EngineConfig, EnumError, EnumStats, Enumerator, Outcome, Report};
+use light_graph::stats::{compute_stats, GraphStats, TrianglePass};
 use light_graph::{CsrGraph, VertexId};
 use light_order::QueryPlan;
 use light_pattern::PatternGraph;
@@ -506,15 +507,46 @@ struct WorkerResult {
     failures: Vec<EnumError>,
 }
 
-/// Plan a query and run it with `k` workers, counting matches.
+/// Plan a query and run it with `k` workers, counting matches. The stats
+/// pass in front of the plan runs on the same `k` workers.
 pub fn run_query_parallel(
     pattern: &PatternGraph,
     g: &CsrGraph,
     config: &EngineConfig,
     pcfg: &ParallelConfig,
 ) -> ParallelReport {
-    let plan = config.plan(pattern, g);
+    let plan = config.plan_from_stats(pattern, &compute_stats_parallel(g, pcfg));
     run_plan_parallel(&plan, g, config, pcfg)
+}
+
+/// [`compute_stats`] with the triangle pass shared among `pcfg`'s workers,
+/// pinned as the enumeration workers are (a host that does not balance
+/// load between CPUs runs unpinned threads on one).
+pub fn compute_stats_parallel(g: &CsrGraph, pcfg: &ParallelConfig) -> GraphStats {
+    if pcfg.num_threads <= 1 {
+        return compute_stats(g);
+    }
+    let topo = pcfg.resolve_topology();
+    let pin = pcfg.pin_workers && !topo.is_flat();
+    let pass = TrianglePass::new(g);
+    let triangles = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..pcfg.num_threads)
+            .map(|worker_id| {
+                let (pass, cpu) = (&pass, topo.slot_for_worker(worker_id).cpu);
+                scope.spawn(move || {
+                    if pin {
+                        affinity::pin_current_thread(cpu);
+                    }
+                    pass.run()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("triangle pass worker panicked"))
+            .sum()
+    });
+    GraphStats::with_triangles(g, triangles)
 }
 
 /// Run a prepared plan with `k` workers, counting matches.
@@ -855,6 +887,27 @@ mod tests {
                 let pr = run_query_parallel(&q.pattern(), &g, &cfg, &ParallelConfig::new(threads));
                 assert_eq!(pr.report.matches, expect, "{} x{threads}", q.name());
                 assert_eq!(pr.report.outcome, Outcome::Complete);
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_stats_pass_equals_serial_pass() {
+        let graphs = [
+            generators::barabasi_albert(3000, 6, 7),
+            generators::rmat(11, 12_000, (0.5, 0.2, 0.2, 0.1), 3),
+            generators::star(700),
+            light_graph::GraphBuilder::new().build(),
+        ];
+        for g in &graphs {
+            let serial = compute_stats(g);
+            for threads in [1, 2, 4] {
+                assert_eq!(
+                    compute_stats_parallel(g, &ParallelConfig::new(threads)),
+                    serial,
+                    "{threads} threads on {} vertices",
+                    g.num_vertices()
+                );
             }
         }
     }

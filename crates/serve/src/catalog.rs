@@ -6,11 +6,13 @@
 //! preprocess the data graph once, answer many queries against it. Each
 //! entry holds its serving state behind a read/write lock: a
 //! [`DeltaGraph`] overlay (immutable base CSR plus pending edge buffers),
-//! the materialized merged view workers borrow concurrently, precomputed
-//! [`GraphStats`], and a monotone **generation** counter that bumps on
-//! every successful update. The generation is the cache-invalidation
-//! contract: plan-cache keys and cross-query aux stores embed it, so a
-//! mutation can never serve stale derived state (see DESIGN.md §17).
+//! the materialized merged view workers borrow concurrently, the
+//! [`GraphStats`] of that view (one full pass at load, then maintained
+//! incrementally by every commit), and a monotone **generation** counter
+//! that bumps on every successful update. The generation is the
+//! cache-invalidation contract: plan-cache keys and cross-query aux store
+//! entries embed it, so a mutation can never serve stale derived state
+//! (see DESIGN.md §17).
 //!
 //! Entries come from three sources:
 //!
@@ -34,6 +36,7 @@ use light_graph::delta::{ApplyReport, DeltaGraph};
 use light_graph::io::{FileStamp, GraphFormat};
 use light_graph::stats::{compute_stats, GraphStats};
 use light_graph::{CsrGraph, VertexId};
+use light_parallel::{compute_stats_parallel, ParallelConfig};
 
 /// The mutable serving state of one entry, swapped atomically under the
 /// entry's write lock on every committed update.
@@ -44,8 +47,8 @@ struct LiveState {
     /// The materialized current view (`delta.merged_arc()`, cached).
     /// Clean overlays alias the base `Arc` — zero copy.
     graph: Arc<CsrGraph>,
-    /// Stats of `graph`, recomputed on every update (graphs served here
-    /// are modest; incremental triangle maintenance is future work).
+    /// Stats of `graph`: the full pass ran once, at load; every commit
+    /// since stepped them with [`GraphStats::after_update`].
     stats: GraphStats,
     /// Storage backend of the *base* (`"heap"` or `"mmap"`).
     backend: &'static str,
@@ -55,6 +58,20 @@ struct LiveState {
     /// Monotone update counter. Starts at 0 on load; every committed
     /// update (including pure compactions) increments it.
     generation: u64,
+}
+
+/// One generation of an entry, read under one lock: the merged view, the
+/// generation it belongs to, and that view's stats. A query takes one at
+/// its start, so its plan-cache key, planning statistics, aux-store stamp
+/// and execution graph can never straddle an update.
+#[derive(Debug, Clone)]
+pub struct GraphView {
+    /// The merged view workers enumerate.
+    pub graph: Arc<CsrGraph>,
+    /// The entry generation `graph` is (0 until the first update commits).
+    pub generation: u64,
+    /// The stats of `graph`.
+    pub stats: GraphStats,
 }
 
 /// The result of one committed [`CatalogEntry::apply_update`] batch.
@@ -113,57 +130,21 @@ fn write_recover<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 }
 
 impl CatalogEntry {
-    fn from_graph(
-        name: &str,
-        source: &str,
-        format: &'static str,
-        graph: CsrGraph,
-        stamp: Option<FileStamp>,
-        load_started: Instant,
-        prefer_mmap: bool,
-    ) -> CatalogEntry {
-        // Warm hint for mapped graphs: start readahead on the CSR arrays
-        // now so the stats pass below (and the first query) fault fewer
-        // cold pages. Advice only — the pages stay evictable.
-        graph.advise_willneed();
-        let stats = compute_stats(&graph);
-        let backend = graph.backend().name();
-        let graph = Arc::new(graph);
-        CatalogEntry {
-            name: name.to_string(),
-            source: source.to_string(),
-            format,
-            load_ms: load_started.elapsed().as_secs_f64() * 1e3,
-            healthy: Arc::new(AtomicBool::new(true)),
-            live: Arc::new(RwLock::new(LiveState {
-                delta: DeltaGraph::new(Arc::clone(&graph)),
-                graph,
-                stats,
-                backend,
-                stamp,
-                generation: 0,
-            })),
-            update_lock: Arc::new(Mutex::new(())),
-            prefer_mmap,
-        }
-    }
-
     /// The current merged view. Cheap: one read lock + `Arc` clone.
     pub fn graph(&self) -> Arc<CsrGraph> {
         Arc::clone(&read_recover(&self.live).graph)
     }
 
-    /// The merged view together with the generation it belongs to, read
-    /// under one lock so a query's plan-cache key and execution graph can
-    /// never straddle an update.
-    pub fn view(&self) -> (Arc<CsrGraph>, u64) {
+    /// The current generation: view, generation number and stats, read
+    /// under one lock. The only way to the entry's stats — the planner and
+    /// the `catalog` op read the same value.
+    pub fn view(&self) -> GraphView {
         let st = read_recover(&self.live);
-        (Arc::clone(&st.graph), st.generation)
-    }
-
-    /// Stats of the current view (recomputed at load and on every update).
-    pub fn stats(&self) -> GraphStats {
-        read_recover(&self.live).stats
+        GraphView {
+            graph: Arc::clone(&st.graph),
+            generation: st.generation,
+            stats: st.stats,
+        }
     }
 
     /// Storage backend of the current base (`"heap"` or `"mmap"`).
@@ -190,6 +171,10 @@ impl CatalogEntry {
     /// (the `serve::update_apply` failpoint sits between preparation and
     /// commit) leaves the old generation, graph, and stats fully intact.
     ///
+    /// The new stats are stepped from the old ones over the changed edges
+    /// only, so a commit costs `O(|V| + Σ_{changed e} (d(u) + d(v)))` on
+    /// top of the `O(|V| + |E|)` merged-CSR copy.
+    ///
     /// Compaction runs when `force_compact` is set or the post-batch
     /// overlay holds at least `compact_threshold` pending edges: the
     /// buffers fold into a fresh base and, for snapshot-backed entries,
@@ -213,14 +198,15 @@ impl CatalogEntry {
         let _writer = self.update_lock.lock().unwrap_or_else(|p| p.into_inner());
 
         // Snapshot the current state under a short read lock.
-        let (mut delta, pre) = {
+        let (mut delta, pre, pre_stats) = {
             let st = read_recover(&self.live);
-            (st.delta.clone(), Arc::clone(&st.graph))
+            (st.delta.clone(), Arc::clone(&st.graph), st.stats)
         };
 
         let report = delta.apply(deletes, inserts);
         let post = delta.merged_arc();
-        let stats = compute_stats(&post);
+        let stats = pre_stats.after_update(&pre, &post, &report.deleted, &report.inserted);
+        debug_assert_eq!(stats, compute_stats(&post));
 
         let compact =
             force_compact || compact_threshold.is_some_and(|t| t > 0 && delta.pending_edges() >= t);
@@ -319,6 +305,7 @@ impl CatalogEntry {
 pub struct GraphCatalog {
     entries: Vec<CatalogEntry>,
     prefer_mmap: bool,
+    load_threads: usize,
 }
 
 impl Default for GraphCatalog {
@@ -328,6 +315,7 @@ impl Default for GraphCatalog {
             // Zero-copy open is the daemon's whole value proposition for
             // v2 snapshots; opt out per-daemon with `--no-mmap`.
             prefer_mmap: true,
+            load_threads: 1,
         }
     }
 }
@@ -342,6 +330,50 @@ impl GraphCatalog {
     /// decoded onto the heap. Affects entries loaded *after* the call.
     pub fn set_prefer_mmap(&mut self, prefer: bool) {
         self.prefer_mmap = prefer;
+    }
+
+    /// Threads the load-time stats pass of each entry runs on (default 1;
+    /// the daemon passes its threads-per-query). Affects entries loaded
+    /// *after* the call.
+    pub fn set_load_threads(&mut self, threads: usize) {
+        self.load_threads = threads.max(1);
+    }
+
+    /// Wrap a normalized graph as an entry: the one full stats pass of the
+    /// entry's lifetime runs here.
+    fn new_entry(
+        &self,
+        name: &str,
+        source: &str,
+        format: &'static str,
+        graph: CsrGraph,
+        stamp: Option<FileStamp>,
+        load_started: Instant,
+    ) -> CatalogEntry {
+        // Warm hint for mapped graphs: start readahead on the CSR arrays
+        // now so the stats pass below (and the first query) fault fewer
+        // cold pages. Advice only — the pages stay evictable.
+        graph.advise_willneed();
+        let stats = compute_stats_parallel(&graph, &ParallelConfig::new(self.load_threads));
+        let backend = graph.backend().name();
+        let graph = Arc::new(graph);
+        CatalogEntry {
+            name: name.to_string(),
+            source: source.to_string(),
+            format,
+            load_ms: load_started.elapsed().as_secs_f64() * 1e3,
+            healthy: Arc::new(AtomicBool::new(true)),
+            live: Arc::new(RwLock::new(LiveState {
+                delta: DeltaGraph::new(Arc::clone(&graph)),
+                graph,
+                stats,
+                backend,
+                stamp,
+                generation: 0,
+            })),
+            update_lock: Arc::new(Mutex::new(())),
+            prefer_mmap: self.prefer_mmap,
+        }
     }
 
     /// Load a comma-separated catalog spec: `name=path` entries where the
@@ -407,15 +439,8 @@ impl GraphCatalog {
         } else {
             None
         };
-        self.entries.push(CatalogEntry::from_graph(
-            name,
-            source,
-            format,
-            graph,
-            stamp,
-            start,
-            self.prefer_mmap,
-        ));
+        let entry = self.new_entry(name, source, format, graph, stamp, start);
+        self.entries.push(entry);
         Ok(())
     }
 
@@ -431,15 +456,8 @@ impl GraphCatalog {
         } else {
             light_graph::ordered::into_degree_ordered(&g).0
         };
-        self.entries.push(CatalogEntry::from_graph(
-            name,
-            "<memory>",
-            "memory",
-            graph,
-            None,
-            start,
-            self.prefer_mmap,
-        ));
+        let entry = self.new_entry(name, "<memory>", "memory", graph, None, start);
+        self.entries.push(entry);
         Ok(())
     }
 
@@ -506,8 +524,8 @@ mod tests {
         // Both normalize to degree-ordered form with identical stats.
         assert!(light_graph::ordered::is_degree_ordered(&t.graph()));
         assert!(light_graph::ordered::is_degree_ordered(&b.graph()));
-        assert_eq!(t.stats().num_edges, b.stats().num_edges);
-        assert_eq!(t.stats().triangles, b.stats().triangles);
+        assert_eq!(t.view().stats.num_edges, b.view().stats.num_edges);
+        assert_eq!(t.view().stats.triangles, b.view().stats.triangles);
         assert!(cat.sole_entry().is_none());
         // v1 snapshots and text lists always decode onto the heap.
         assert_eq!(t.backend(), "heap");
@@ -545,7 +563,7 @@ mod tests {
             assert_eq!(m.graph().resident_bytes(), 0);
         }
         assert_eq!(*m.graph(), *h.graph());
-        assert_eq!(m.stats().triangles, h.stats().triangles);
+        assert_eq!(m.view().stats.triangles, h.view().stats.triangles);
 
         // A truncated v2 file must come back as a typed load error.
         let bytes = std::fs::read(&v2).unwrap();
@@ -657,7 +675,7 @@ mod tests {
         assert!(light_graph::ordered::is_degree_ordered(
             &cat.get("g").unwrap().graph()
         ));
-        assert_eq!(cat.get("g").unwrap().stats().num_edges, g.num_edges());
+        assert_eq!(cat.get("g").unwrap().view().stats.num_edges, g.num_edges());
     }
 
     #[test]
@@ -665,9 +683,13 @@ mod tests {
         let mut cat = GraphCatalog::new();
         cat.insert("g", generators::path(6)).unwrap();
         let e = cat.get("g").unwrap();
-        let (g0, gen0) = e.view();
+        let GraphView {
+            graph: g0,
+            generation: gen0,
+            ..
+        } = e.view();
         assert_eq!(gen0, 0);
-        let t0 = e.stats().triangles;
+        let t0 = e.view().stats.triangles;
         assert_eq!(t0, 0);
 
         // Close a triangle on the path: find an interior vertex (IDs were
@@ -684,7 +706,7 @@ mod tests {
         assert_eq!(out.report.inserted.len(), 1);
         assert!(!out.compacted);
         assert_eq!(out.pending, 1);
-        assert_eq!(e.stats().triangles, t0 + 1);
+        assert_eq!(e.view().stats.triangles, t0 + 1);
         assert_eq!(e.graph().num_edges(), g0.num_edges() + 1);
         // The pre/post views bracket the batch.
         assert_eq!(out.pre.num_edges(), g0.num_edges());
@@ -709,7 +731,7 @@ mod tests {
         assert!(out3.compacted);
         assert_eq!(out3.pending, 0);
         assert_eq!(e.pending_edges(), 0);
-        assert_eq!(e.stats().triangles, 0);
+        assert_eq!(e.view().stats.triangles, 0);
         assert_eq!(e.generation(), 3);
     }
 
@@ -767,9 +789,8 @@ mod tests {
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
-                        let (g, _) = e.view();
                         // The served view is always a valid simple graph.
-                        assert!(g.validate().is_ok());
+                        assert!(e.view().graph.validate().is_ok());
                     }
                 })
             })

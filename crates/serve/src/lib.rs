@@ -49,7 +49,7 @@ pub mod server;
 pub mod service;
 
 pub use batch::{BatchGate, BatchVerdict, MemberExec, MemberOutput, MultiQueryMetrics, Ticket};
-pub use catalog::{CatalogEntry, GraphCatalog};
+pub use catalog::{CatalogEntry, GraphCatalog, GraphView};
 pub use plan_cache::{PlanCache, PlanKey, PLAN_CACHE_CAP};
 pub use protocol::{ErrorCode, Request, WireOutcome, MAX_REQUEST_BYTES};
 #[cfg(target_os = "linux")]

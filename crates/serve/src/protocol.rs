@@ -664,7 +664,8 @@ pub fn render_unsubscribed(id: &str, sub: u64, removed: bool) -> String {
 /// counts committed updates; `pending` is the overlay edges not yet folded
 /// into the base.
 pub fn render_catalog_entry(e: &crate::catalog::CatalogEntry) -> String {
-    let stats = e.stats();
+    let view = e.view();
+    let stats = view.stats;
     let mut w = ObjWriter::new();
     w.str("name", &e.name)
         .str("source", &e.source)
@@ -678,7 +679,7 @@ pub fn render_catalog_entry(e: &crate::catalog::CatalogEntry) -> String {
         .u64("edges", stats.num_edges as u64)
         .u64("max_degree", stats.max_degree as u64)
         .u64("triangles", stats.triangles)
-        .u64("generation", e.generation())
+        .u64("generation", view.generation)
         .u64("pending", e.pending_edges() as u64)
         .f64("load_ms", e.load_ms);
     w.finish()

@@ -43,14 +43,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use light_core::engine::run_plan;
 use light_core::{
-    validate_query, CancelToken, EngineConfig, EngineVariant, Outcome, SharedAuxStore,
+    validate_query, CancelToken, CountVisitor, EngineConfig, EngineVariant, Outcome, SharedAuxStore,
 };
 use light_parallel::{run_plan_parallel, ParallelConfig};
 use light_pattern::{PatternGraph, Query};
 
 use crate::batch::{BatchGate, BatchVerdict, MemberExec, MemberOutput, Ticket};
-use crate::catalog::GraphCatalog;
+use crate::catalog::{GraphCatalog, GraphView};
 use crate::json::ObjWriter;
 use crate::plan_cache::{PlanCache, PlanKey};
 use crate::protocol::{
@@ -777,14 +778,11 @@ impl QueryService {
             }
         };
         self.metrics.updates.fetch_add(1, Ordering::Relaxed);
-        // A mutated graph invalidates every cross-query cache tier: the
-        // shared aux store drops its trimmed-adjacency tables (O(1)
-        // generation bump), and the plan cache misses naturally because
-        // its keys embed the entry generation. Per-entry `GraphStats`
-        // were recomputed inside the commit.
-        if let Some(store) = self.shared_store(&entry.name) {
-            store.invalidate();
-        }
+        // Nothing to invalidate: plan-cache keys and shared aux-store
+        // entries both embed the entry generation, so every cross-query
+        // cache tier misses at the new generation by construction, and a
+        // query still running on the old view keeps reading — and
+        // publishing — under the old one.
         // Differential maintenance: count only the embeddings the batch
         // destroyed (in the pre graph) or created (in the post graph).
         let mut deltas = Vec::new();
@@ -857,12 +855,22 @@ impl QueryService {
         // count, so no update can commit between counting and enrolling —
         // the count is exact for the generation it records.
         let mut subs = lock_recover(&self.subs);
-        let (graph, generation) = entry.view();
+        let GraphView {
+            graph,
+            generation,
+            stats,
+        } = entry.view();
         if let Err(e) = validate_query(&pattern, graph.num_vertices()) {
             return err(ErrorCode::BadQuery, e.to_string());
         }
         let t = Instant::now();
-        let report = light_core::run_query(&pattern, &graph, &self.cfg.engine);
+        let plan = self.cfg.engine.plan_from_stats(&pattern, &stats);
+        let report = run_plan(
+            &plan,
+            &graph,
+            &self.cfg.engine,
+            &mut CountVisitor::default(),
+        );
         let aut = light_core::automorphism_count(&pattern);
         let id = subs.next_id;
         subs.next_id += 1;
@@ -939,10 +947,15 @@ impl QueryService {
             Ok(p) => p,
             Err(e) => return err(ErrorCode::BadPattern, e),
         };
-        // One consistent (graph, generation) pair for the whole query:
-        // the plan-cache key, planning statistics, and execution all see
-        // the same view even if an update commits mid-query.
-        let (graph, generation) = entry.view();
+        // One consistent (graph, generation, stats) triple for the whole
+        // query: the plan-cache key, planning statistics, aux-store stamp
+        // and execution all see the same view even if an update commits
+        // mid-query.
+        let GraphView {
+            graph,
+            generation,
+            stats,
+        } = entry.view();
         if let Err(e) = validate_query(&pattern, graph.num_vertices()) {
             return err(ErrorCode::BadQuery, e.to_string());
         }
@@ -1004,16 +1017,17 @@ impl QueryService {
         let profile_rec = q.profile.then(light_metrics::Recorder::new);
         cfg.metrics = profile_rec.clone().unwrap_or_else(|| self.recorder.clone());
 
-        // Cross-query aux tier: every query on this graph (batched or
-        // not) reads and feeds the same trimmed-adjacency store.
+        // Cross-query aux tier: every query on this generation of the
+        // graph (batched or not) reads and feeds the same
+        // trimmed-adjacency store.
         if let Some(store) = self.shared_store(&entry.name) {
-            cfg.shared_aux = Some(Arc::clone(store));
+            cfg.shared_aux = Some(store.at(generation));
         }
 
         let key = PlanKey::new(&pattern, &entry.name, generation, &cfg);
         let (plan, cache_hit) = self.plans.get_or_build(key, || {
             light_failpoint::fail_point!("serve::plan_build");
-            cfg.plan(&pattern, &graph)
+            cfg.plan_from_stats(&pattern, &stats)
         });
 
         let pcfg = ParallelConfig::new(threads).flat_topology(self.cfg.flat_topology);

@@ -764,10 +764,19 @@ fn cmd_serve(opts: &Opts) -> Result<ExitCode, String> {
     use light::serve::{drain, serve_stdio, GraphCatalog, QueryService, ServeConfig, SocketServer};
     use std::sync::Arc;
 
+    let parse_usize = |key: &str, default: usize| -> Result<usize, String> {
+        opts.get(key)
+            .map(|s| s.parse().map_err(|e| format!("bad --{key}: {e}")))
+            .transpose()
+            .map(|v| v.unwrap_or(default))
+    };
+    let threads_per_query = parse_usize("threads", 1)?.max(1);
+
     // Catalog: --graphs spec, or a single --graph/--dataset entry named
     // after its source (same convenience flags count uses).
     let mut catalog = GraphCatalog::new();
     catalog.set_prefer_mmap(!opts.contains_key("no-mmap"));
+    catalog.set_load_threads(threads_per_query);
     if let Some(spec) = opts.get("graphs") {
         catalog.load_spec(spec)?;
     } else if let Some(path) = opts.get("graph") {
@@ -783,12 +792,6 @@ fn cmd_serve(opts: &Opts) -> Result<ExitCode, String> {
         return Err("serve needs --graphs <spec>, --graph <file>, or --dataset <name>".into());
     }
 
-    let parse_usize = |key: &str, default: usize| -> Result<usize, String> {
-        opts.get(key)
-            .map(|s| s.parse().map_err(|e| format!("bad --{key}: {e}")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
     let default_timeout = match opts.get("timeout").map(|s| s.as_str()) {
         None => Some(Duration::from_secs(60)),
         Some("none") => None,
@@ -831,7 +834,7 @@ fn cmd_serve(opts: &Opts) -> Result<ExitCode, String> {
     let cfg = ServeConfig {
         max_concurrent: parse_usize("max-concurrent", 2)?.max(1),
         queue_depth: parse_usize("queue-depth", 4)?,
-        threads_per_query: parse_usize("threads", 1)?.max(1),
+        threads_per_query,
         default_timeout,
         drain_grace,
         idle_timeout,
@@ -850,14 +853,15 @@ fn cmd_serve(opts: &Opts) -> Result<ExitCode, String> {
 
     let service = Arc::new(QueryService::new(catalog, cfg));
     for e in service.catalog().entries() {
+        let stats = e.view().stats;
         eprintln!(
             "loaded {:?} from {} ({}, {} backend): {} vertices, {} edges, {:.1} ms",
             e.name,
             e.source,
             e.format,
             e.backend(),
-            e.stats().num_vertices,
-            e.stats().num_edges,
+            stats.num_vertices,
+            stats.num_edges,
             e.load_ms
         );
     }

@@ -53,7 +53,7 @@ fn config_legs() -> Vec<(&'static str, EngineConfig)> {
         ("aux-off", EngineConfig::light().aux_cache(false)),
         (
             "shared-aux",
-            EngineConfig::light().shared_aux(Arc::new(SharedAuxStore::new(None))),
+            EngineConfig::light().shared_aux(Arc::new(SharedAuxStore::new(None)).at(0)),
         ),
     ]
 }
@@ -139,7 +139,7 @@ fn warm_shared_store_is_count_neutral() {
     let qs = catalog();
     let g = generators::barabasi_albert(300, 4, 13);
     let store = Arc::new(SharedAuxStore::new(None));
-    let cfg = EngineConfig::light().shared_aux(Arc::clone(&store));
+    let cfg = EngineConfig::light().shared_aux(store.at(0));
     let expect = one_shot(&qs, &g, &EngineConfig::light());
     let mp = MultiPlan::build(&plans(&qs, &g, &cfg)).unwrap();
     let specs = vec![MemberSpec::default(); qs.len()];

@@ -383,3 +383,167 @@ fn concurrent_queries_see_committed_generations_only() {
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     writer.join().expect("writer");
 }
+
+/// One update batch: `(deletes, inserts)`.
+type Batch = (Vec<(u32, u32)>, Vec<(u32, u32)>);
+
+/// A deterministic stream of mixed update batches over `n` vertices, with
+/// overlapping endpoints (so batch edges share triangles), re-deleted
+/// earlier inserts, and IDs past `n` (the vertex space grows).
+fn update_stream(n: u32, batches: u32) -> Vec<Batch> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x13);
+    let mut next = move |bound: u32| rng.random_range(0..bound);
+    let mut stream: Vec<Batch> = Vec::new();
+    for b in 0..batches {
+        let hub = next(n);
+        let inserts: Vec<(u32, u32)> = (0..6).map(|_| (hub, next(n + 3))).collect();
+        // Delete half of the previous batch's inserts, plus one random pair.
+        let mut deletes: Vec<(u32, u32)> = stream
+            .last()
+            .map(|(_, ins)| ins.iter().step_by(2).copied().collect())
+            .unwrap_or_default();
+        deletes.push((next(n), next(n)));
+        if b % 3 == 0 {
+            // The same edge in both lists: ends present.
+            deletes.push(inserts[0]);
+        }
+        stream.push((deletes, inserts));
+    }
+    stream
+}
+
+/// Plan identity: after a stream of updates, the plan built from the
+/// catalog's incrementally maintained stats is the plan `cfg.plan` builds
+/// from scratch on the served graph, for every pattern, with and without
+/// symmetry breaking, in every engine variant.
+#[test]
+fn plans_from_catalog_stats_equal_plans_from_scratch() {
+    let svc = service();
+    let entry = svc.catalog().get("g").unwrap();
+    let n = entry.graph().num_vertices() as u32;
+    let (mut deleted, mut inserted) = (0, 0);
+    for (i, (deletes, inserts)) in update_stream(n, 12).iter().enumerate() {
+        let out = entry
+            .apply_update(deletes, inserts, None, i == 7)
+            .expect("memory entries cannot fail a commit");
+        deleted += out.report.deleted.len();
+        inserted += out.report.inserted.len();
+    }
+    assert!(deleted >= 12 && inserted >= 36, "{deleted} / {inserted}");
+    let view = entry.view();
+    assert_eq!(view.generation, 12);
+    assert_eq!(view.stats, light::graph::stats::compute_stats(&view.graph));
+    for q in Query::ALL {
+        for symmetry in [true, false] {
+            for variant in light::core::EngineVariant::ALL {
+                let cfg = EngineConfig::with_variant(variant).symmetry(symmetry);
+                let pattern = q.pattern();
+                let maintained = cfg.plan_from_stats(&pattern, &view.stats);
+                let scratch = cfg.plan(&pattern, &view.graph);
+                assert_eq!(
+                    format!("{maintained:?}"),
+                    format!("{scratch:?}"),
+                    "{} symmetry={symmetry} {}",
+                    q.name(),
+                    variant.name()
+                );
+                assert_eq!(maintained.explain(), scratch.explain());
+            }
+        }
+    }
+}
+
+/// The `catalog` op reports the maintained stats: after an update stream
+/// that ends in a compaction, its `triangles` equal what `light stats`
+/// computes from scratch on the rewritten snapshot.
+#[test]
+fn catalog_triangles_after_updates_equal_light_stats_on_the_compacted_snapshot() {
+    let dir = std::env::temp_dir().join(format!("light_serve_dyn_stats_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("g.v2");
+    let g = light::graph::generators::barabasi_albert(400, 4, 13);
+    let (ordered, _) = light::graph::ordered::into_degree_ordered(&g);
+    light::graph::io::save_snapshot_v2(&ordered, &snap).unwrap();
+
+    let mut catalog = GraphCatalog::new();
+    catalog.load_entry("g", snap.to_str().unwrap()).unwrap();
+    let svc = QueryService::new(catalog, ServeConfig::default());
+    let pairs = |edges: &[(u32, u32)]| {
+        let items: Vec<String> = edges.iter().map(|(a, b)| format!("[{a},{b}]")).collect();
+        format!("[{}]", items.join(","))
+    };
+    let stream = update_stream(400, 10);
+    for (i, (deletes, inserts)) in stream.iter().enumerate() {
+        let compact = i + 1 == stream.len();
+        let resp = parse(&svc.handle_line(&format!(
+            "{{\"op\":\"update\",\"graph\":\"g\",\"deletes\":{},\"inserts\":{},\"compact\":{compact},\"id\":\"u{i}\"}}",
+            pairs(deletes),
+            pairs(inserts),
+        )));
+        ok(&resp);
+    }
+    let cat = parse(&svc.handle_line("{\"op\":\"catalog\",\"id\":\"c\"}"));
+    let Some(Json::Arr(graphs)) = ok(&cat).get("graphs") else {
+        panic!("catalog response without graphs: {cat:?}");
+    };
+    let entry = &graphs[0];
+    assert_eq!(entry.get("generation").and_then(Json::as_u64), Some(10));
+    assert_eq!(entry.get("pending").and_then(Json::as_u64), Some(0));
+    let served = entry.get("triangles").and_then(Json::as_u64).unwrap();
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_light"))
+        .args(["stats", "--graph", snap.to_str().unwrap()])
+        .output()
+        .expect("run light stats");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    let field = |name: &str| -> u64 {
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(name))
+            .unwrap_or_else(|| panic!("no {name} line in {stdout}"))
+            .trim()
+            .parse()
+            .unwrap()
+    };
+    assert_eq!(served, field("triangles:"));
+    assert_eq!(
+        entry.get("edges").and_then(Json::as_u64),
+        Some(field("edges:"))
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The stale-read race (benchmark baseline finding 5), replayed in order:
+/// a query takes its view at generation g, an update commits g+1, and only
+/// then does the old query publish an intersection of the old graph. A
+/// query on the new view must not be served it.
+#[test]
+fn aux_entry_published_after_a_commit_is_invisible_to_the_next_generation() {
+    use light::core::{SharedAuxStore, SharedKey};
+
+    let mut catalog = GraphCatalog::new();
+    catalog
+        .insert("g", light::graph::generators::complete(5))
+        .unwrap();
+    let entry = catalog.get("g").unwrap();
+    let store = Arc::new(SharedAuxStore::new(None));
+
+    let old_view = entry.view();
+    let old_query = store.at(old_view.generation);
+    entry.apply_update(&[(2, 3)], &[], None, false).unwrap();
+    let new_view = entry.view();
+    assert_eq!(new_view.generation, old_view.generation + 1);
+
+    // N(0) ∩ N(1) as the old graph had it.
+    let key = SharedKey::new(&[0, 1]).unwrap();
+    old_query.store(&key, &[2, 3, 4]);
+
+    let mut out = Vec::new();
+    assert!(!store.at(new_view.generation).lookup(&key, &mut out));
+    assert!(
+        old_query.lookup(&key, &mut out),
+        "old view keeps its entries"
+    );
+}
