@@ -44,11 +44,6 @@ use light_serve::{drain, GraphCatalog, QueryService, ServeConfig, SocketServer};
 
 const QUERY_LINE: &str = r#"{"op":"query","pattern":"P1","graph":"yt"}"#;
 
-/// The mixed-pattern workload for the multi-query legs: concurrent
-/// clients cycle these, so any instant has several same-graph queries in
-/// flight — the shape the batch gate exists for.
-const MIXED_PATTERNS: &[&str] = &["triangle", "P1", "P2", "P3"];
-
 fn main() {
     let quick = bench::env_usize("LIGHT_SERVE_LOAD_QUICK", 0) == 1;
     let scale = bench::scale(if quick { 0.02 } else { 0.05 });
@@ -133,13 +128,7 @@ fn main() {
 
         // Leg 3: open loop at a fixed schedule.
         let t0 = Instant::now();
-        let (lat, errs) = open_loop(
-            &path,
-            &[QUERY_LINE.to_string()],
-            rate,
-            Duration::from_secs_f64(secs),
-            conns.max(2),
-        );
+        let (lat, errs) = open_loop(&path, rate, Duration::from_secs_f64(secs), conns.max(2));
         let row = summarize(
             format!("open r={rate} {transport}"),
             &lat,
@@ -161,87 +150,6 @@ fn main() {
         assert_eq!(shutdown_errs, 0, "shutdown request failed ({transport})");
         drain(&service);
         server.join();
-    }
-
-    // Multi-query legs: mixed-pattern open loop at a saturating rate, with
-    // the batch gate on vs off. Both daemons run identical admission
-    // settings (8 lanes); the only difference is the gate + shared aux
-    // tier, so the qps ratio isolates the multi-query optimizer. The rate
-    // is set far above unbatched capacity on purpose — a saturated open
-    // loop degrades into "as fast as the daemon answers", so completed/s
-    // measures aggregate throughput, not the schedule.
-    let mixed_rate = bench::env_f64("LIGHT_SERVE_LOAD_MQO_RATE", 2000.0);
-    let mixed_secs = bench::env_f64("LIGHT_SERVE_LOAD_MQO_SECS", if quick { 3.0 } else { 10.0 });
-    let mixed_conns = bench::env_usize("LIGHT_SERVE_LOAD_MQO_CONNS", 16);
-    let mixed_lines: Vec<String> = MIXED_PATTERNS
-        .iter()
-        .map(|p| format!("{{\"op\":\"query\",\"pattern\":\"{p}\",\"graph\":\"yt\"}}"))
-        .collect();
-    let mut mixed_qps = Vec::new();
-    for (tag, window) in [
-        ("mqo-on", Some(Duration::from_millis(5))),
-        ("mqo-off", None),
-    ] {
-        let mut catalog = GraphCatalog::new();
-        catalog.insert("yt", graph.clone()).expect("catalog insert");
-        let service = Arc::new(QueryService::new(
-            catalog,
-            ServeConfig {
-                max_concurrent: mixed_conns,
-                queue_depth: 64,
-                threads_per_query: bench::threads(2),
-                drain_grace: Duration::from_secs(5),
-                batch_window: window,
-                shared_aux: window.is_some(),
-                ..ServeConfig::default()
-            },
-        ));
-        let path = std::env::temp_dir().join(format!(
-            "light-serve-load-{}-{tag}.sock",
-            std::process::id()
-        ));
-        let server = Transport::bind(transports[0], Arc::clone(&service), &path);
-
-        let t0 = Instant::now();
-        let (lat, errs) = open_loop(
-            &path,
-            &mixed_lines,
-            mixed_rate,
-            Duration::from_secs_f64(mixed_secs),
-            mixed_conns,
-        );
-        let elapsed = t0.elapsed();
-        mixed_qps.push(lat.len() as f64 / elapsed.as_secs_f64().max(1e-9));
-        rows.push(summarize(
-            format!("mixed open {tag}"),
-            &lat,
-            errs,
-            elapsed,
-            &mut violations,
-        ));
-
-        let (_, shutdown_errs) = send_lines(&path, &[r#"{"op":"shutdown"}"#.to_string()]);
-        assert_eq!(shutdown_errs, 0, "shutdown request failed ({tag})");
-        drain(&service);
-        server.join();
-    }
-    if let [on, off] = mixed_qps[..] {
-        let ratio = on / off.max(1e-9);
-        eprintln!("mixed-pattern aggregate throughput: mqo-on/mqo-off = {ratio:.2}x");
-        rows.push(BenchRow {
-            pattern: "mixed".into(),
-            dataset: "yt".into(),
-            threads: bench::threads(2),
-            config: "mixed mqo speedup".into(),
-            wall_ms: 0.0,
-            matches: 0,
-            outcome: "Complete".into(),
-            splits: vec![
-                ("qps_on".into(), on),
-                ("qps_off".into(), off),
-                ("qps_ratio".into(), ratio),
-            ],
-        });
     }
 
     // In-process scheduler leg: per-tier steal counts under a fabricated
@@ -362,24 +270,21 @@ fn send_lines(path: &std::path::Path, lines: &[String]) -> (Vec<Duration>, usize
     (lat, errors)
 }
 
-/// Open-loop driver: `workers` paced connections jointly dispatch at
-/// `rate` req/s for `duration`. Latency is measured from each request's
-/// *scheduled* send time (coordinated-omission-free): if the daemon
-/// stalls, the backlog shows up as tail latency.
+/// Open-loop driver: `workers` paced connections jointly dispatch
+/// [`QUERY_LINE`] at `rate` req/s for `duration`. Latency is measured
+/// from each request's *scheduled* send time (coordinated-omission-free):
+/// if the daemon stalls, the backlog shows up as tail latency.
 fn open_loop(
     path: &std::path::Path,
-    lines: &[String],
     rate: f64,
     duration: Duration,
     workers: usize,
 ) -> (Vec<Duration>, usize) {
     let per_worker_rate = rate / workers as f64;
     let interval = Duration::from_secs_f64(1.0 / per_worker_rate.max(1e-6));
-    let lines = Arc::new(lines.to_vec());
     let handles: Vec<_> = (0..workers)
         .map(|w| {
             let path = path.to_path_buf();
-            let lines = Arc::clone(&lines);
             // Stagger worker start offsets so the joint schedule is even.
             let offset = interval.mul_f64(w as f64 / workers as f64);
             std::thread::spawn(move || {
@@ -402,11 +307,8 @@ fn open_loop(
                     if scheduled.duration_since(start) >= duration {
                         break;
                     }
-                    // Workers start offset into the cycle, so distinct
-                    // patterns are in flight simultaneously.
-                    let line = &lines[(w + k as usize) % lines.len()];
                     if writer
-                        .write_all(line.as_bytes())
+                        .write_all(QUERY_LINE.as_bytes())
                         .and_then(|()| writer.write_all(b"\n"))
                         .and_then(|()| writer.flush())
                         .is_err()

@@ -94,13 +94,6 @@ pub struct EngineConfig {
     /// driver divides its process-wide budget by the worker count).
     /// Crossing it stops the run with [`crate::Outcome::MemoryExceeded`].
     pub max_memory_bytes: Option<usize>,
-    /// Optional cross-query auxiliary store (per data graph), reached
-    /// through a handle stamped with the generation of the graph this run
-    /// enumerates: memoized all-K1 intersections shared across concurrent
-    /// enumerations of that generation. The store self-watermarks; it is
-    /// count-neutral by construction (it only caches pure `∩ N(vᵢ)`
-    /// results). `None` — the default — keeps the hot path lock-free.
-    pub shared_aux: Option<crate::auxcache::SharedAuxHandle>,
     /// Metrics sink: attach a live [`light_metrics::Recorder`] to collect
     /// per-slot COMP/MAT counters, candidate histograms, and setops tier
     /// breakdowns. Disabled by default; inert unless the `metrics` feature
@@ -121,7 +114,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("bind_filter", &self.bind_filter.as_ref().map(|_| "<fn>"))
             .field("cancel", &self.cancel.is_some())
             .field("max_memory_bytes", &self.max_memory_bytes)
-            .field("shared_aux", &self.shared_aux.is_some())
             .field("metrics", &self.metrics.is_active())
             .finish()
     }
@@ -157,7 +149,6 @@ impl EngineConfig {
             bind_filter: None,
             cancel: None,
             max_memory_bytes: None,
-            shared_aux: None,
             metrics: light_metrics::Recorder::disabled(),
         }
     }
@@ -207,13 +198,6 @@ impl EngineConfig {
     /// Builder-style candidate-memory watermark (bytes, per enumerator).
     pub fn max_memory(mut self, bytes: usize) -> Self {
         self.max_memory_bytes = Some(bytes);
-        self
-    }
-
-    /// Builder-style cross-query auxiliary store attachment (see
-    /// [`crate::SharedAuxStore::at`]).
-    pub fn shared_aux(mut self, handle: crate::auxcache::SharedAuxHandle) -> Self {
-        self.shared_aux = Some(handle);
         self
     }
 

@@ -92,9 +92,8 @@ impl MatchVisitor for MinRankCount<'_> {
 /// probes.
 ///
 /// `cfg` supplies the execution knobs (variant, kernel, δ, aux cache);
-/// its symmetry, bind-filter, and shared-store settings are overridden —
-/// symmetry off, per-edge pin, no cross-query store (anchored runs are
-/// one-shot; publishing their candidate sets would only churn it).
+/// its symmetry and bind-filter settings are overridden — symmetry off,
+/// per-edge pin.
 ///
 /// [`ApplyReport`]: light_graph::delta::ApplyReport
 pub fn count_raw_through(
@@ -124,8 +123,6 @@ pub fn count_raw_through(
                 .clone()
                 .symmetry(false)
                 .filter(move |u, v| (u != pu || v == a) && (u != pv || v == b));
-            let mut run_cfg = run_cfg;
-            run_cfg.shared_aux = None;
             let mut visitor = MinRankCount {
                 pattern_edges: &pattern_edges,
                 rank: &rank,

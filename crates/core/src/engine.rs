@@ -55,7 +55,7 @@ use light_order::exec_order::ExecOp;
 use light_order::{QueryPlan, TrimDirective};
 use light_setops::{intersect_many_recorded, trim_into, Intersector};
 
-use crate::auxcache::{AuxCache, SharedAuxHandle, SharedKey, SHARED_KEY_MAX};
+use crate::auxcache::AuxCache;
 use crate::config::EngineConfig;
 use crate::pool::BufferPool;
 use crate::report::{EnumStats, Outcome, Report};
@@ -102,9 +102,6 @@ pub struct Enumerator<'a, V: MatchVisitor> {
     // single u64 compare. `None` when disabled or the plan has no
     // directives — the hot path then pays one branch.
     aux: Option<AuxCache>,
-    // Cross-query shared tier: pure all-K1 intersections memoized per
-    // graph, visible to every concurrent enumerator (DESIGN.md §16).
-    shared: Option<SharedAuxHandle>,
     bind_serial: u64,
     bind_stamp: Vec<u64>,
 
@@ -155,7 +152,6 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
             scratch: Vec::new(),
             pool,
             aux,
-            shared: config.shared_aux.clone(),
             bind_serial: 0,
             bind_stamp: vec![0; plan.sigma().len()],
             cand_bytes: 0,
@@ -431,32 +427,7 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
                     self.local.aux_miss();
                 }
             }
-            // Cross-query shared tier probe (DESIGN.md §16): when every
-            // operand resolves to a plain *neighbor list* — K1 operands
-            // always do, K2 operands do when their alias chain terminates
-            // at `AliasNbr` — the COMP computes `∩ N(vᵢ)`, a pure function
-            // of the graph and the resolved vertex tuple, so any
-            // concurrent query on this graph may already have produced it.
-            // A K2 operand resolving to an *owned* set depends on this
-            // query's whole φ-prefix and disqualifies the COMP.
-            let mut have_result = aux_hit;
-            let mut shared_key: Option<SharedKey> = None;
-            let shared = self.shared.as_ref().filter(|_| !have_result);
-            if let Some(store) = shared {
-                let ops = &self.plan.operands()[u as usize];
-                if let Some(key) = shared_probe_key(&ops.k1, &ops.k2, &self.phi, |w| {
-                    resolve_nbr(&self.cand_ref, w)
-                }) {
-                    if store.lookup(&key, &mut out) {
-                        have_result = true;
-                        self.stats.aux.shared_hits += 1;
-                    } else {
-                        shared_key = Some(key);
-                        self.stats.aux.shared_misses += 1;
-                    }
-                }
-            }
-            if !have_result {
+            if !aux_hit {
                 // Split the borrow of `self` field-by-field instead of
                 // `mem::take`-ing the scratch buffer, the intersect counters,
                 // and the metrics shard around the kernel call. The shard in
@@ -548,13 +519,6 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
                         &mut stats.intersect,
                         local,
                     );
-                }
-            }
-            if let Some(key) = shared_key {
-                // Probe missed and the intersection ran: publish the result
-                // for every other query on this graph.
-                if let Some(store) = &self.shared {
-                    store.store(&key, &out);
                 }
             }
             if let Some((di, _, key_v)) = pending_store {
@@ -692,50 +656,6 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
         self.stats.aux.bytes_peak = self.stats.aux.bytes_peak.max(b);
         self.local.aux_bytes(b);
     }
-}
-
-/// Resolve a pattern vertex's candidate set to a *data vertex* iff its
-/// alias chain terminates at a neighbor list. `None` for owned (computed)
-/// sets — those depend on the producing query's φ-prefix and are not
-/// cross-query shareable.
-#[inline]
-fn resolve_nbr(cand_ref: &[CandRef], mut u: u8) -> Option<VertexId> {
-    loop {
-        match cand_ref[u as usize] {
-            CandRef::Owned => return None,
-            CandRef::AliasCand(w) => u = w,
-            CandRef::AliasNbr(v) => return Some(v),
-        }
-    }
-}
-
-/// Build the [`SharedKey`] of a COMP whose operands all resolve to
-/// neighbor lists: K1 operands map through φ, K2 operands through the
-/// caller's alias resolver. `None` when any operand is an owned set or the
-/// operand count is outside the shareable width. Shared by the single- and
-/// multi-query engines.
-pub(crate) fn shared_probe_key(
-    k1: &[u8],
-    k2: &[u8],
-    phi: &[VertexId],
-    resolve: impl Fn(u8) -> Option<VertexId>,
-) -> Option<SharedKey> {
-    let n = k1.len() + k2.len();
-    if !(2..=SHARED_KEY_MAX).contains(&n) {
-        return None;
-    }
-    let mut verts = [INVALID_VERTEX; SHARED_KEY_MAX];
-    let mut k = 0;
-    for &w in k1 {
-        debug_assert_ne!(phi[w as usize], INVALID_VERTEX);
-        verts[k] = phi[w as usize];
-        k += 1;
-    }
-    for &w in k2 {
-        verts[k] = resolve(w)?;
-        k += 1;
-    }
-    SharedKey::new(&verts[..k])
 }
 
 /// Resolve a pattern vertex's candidate set through alias links — the
@@ -1209,26 +1129,6 @@ mod tests {
             "pressure never materialized: {:?}",
             r_on.stats.aux
         );
-    }
-
-    #[test]
-    fn shared_aux_store_is_count_neutral_and_hits_across_runs() {
-        // The cross-query tier must never change a count, and a second
-        // query over the same graph must reuse the first one's pure
-        // intersections.
-        let g = generators::barabasi_albert(250, 5, 41);
-        let base = EngineConfig::light();
-        let store = std::sync::Arc::new(crate::auxcache::SharedAuxStore::new(None));
-        let cfg = base.clone().shared_aux(store.at(0));
-        for q in [Query::Triangle, Query::P1, Query::P2] {
-            let p = q.pattern();
-            let baseline = count(&p, &g, &base);
-            assert_eq!(count(&p, &g, &cfg), baseline, "{} first", q.name());
-            assert_eq!(count(&p, &g, &cfg), baseline, "{} second", q.name());
-        }
-        let c = store.counters();
-        assert!(c.hits > 0, "cross-run reuse never materialized: {c:?}");
-        assert!(c.stores > 0);
     }
 
     #[test]

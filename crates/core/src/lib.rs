@@ -38,23 +38,18 @@ pub mod delta_count;
 pub mod engine;
 pub mod error;
 pub mod iter;
-pub mod multi;
 pub mod pool;
 pub mod reference;
 pub mod report;
 pub mod visitor;
 
-pub use auxcache::{AuxCache, SharedAuxCounters, SharedAuxHandle, SharedAuxStore, SharedKey};
+pub use auxcache::AuxCache;
 pub use cancel::CancelToken;
 pub use config::{EngineConfig, EngineVariant};
 pub use delta_count::{automorphism_count, count_raw_through, raw_delta};
 pub use engine::Enumerator;
 pub use error::{validate_query, EnumError, QueryError};
 pub use iter::MatchIter;
-pub use multi::{
-    run_multi, MemberReport, MemberSpec, MultiCountVisitor, MultiEnumerator, MultiReport,
-    MultiVisitor,
-};
 pub use pool::{BufferPool, PoolStats};
 pub use report::{AuxStats, EnumStats, Outcome, Report};
 pub use visitor::{CollectVisitor, CountVisitor, FirstKVisitor, MatchVisitor};

@@ -39,10 +39,6 @@ pub struct AuxStats {
     pub skipped_stores: u64,
     /// Peak bytes of cached buffer capacity.
     pub bytes_peak: usize,
-    /// COMPs answered from the cross-query [`crate::SharedAuxStore`].
-    pub shared_hits: u64,
-    /// Shared-store probes that found nothing (or a stale generation).
-    pub shared_misses: u64,
 }
 
 /// Counters gathered during one enumeration.
@@ -75,8 +71,6 @@ impl EnumStats {
         self.aux.misses += other.aux.misses;
         self.aux.evictions += other.aux.evictions;
         self.aux.skipped_stores += other.aux.skipped_stores;
-        self.aux.shared_hits += other.aux.shared_hits;
-        self.aux.shared_misses += other.aux.shared_misses;
         // Per-worker caches are held concurrently, so peaks add like
         // candidate peaks above.
         self.aux.bytes_peak += other.aux.bytes_peak;

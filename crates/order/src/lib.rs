@@ -43,14 +43,10 @@ pub mod auxplan;
 pub mod cost;
 pub mod estimate;
 pub mod exec_order;
-pub mod multiplan;
 pub mod plan;
 pub mod setcover;
 
 pub use anchored::{anchor_pairs, anchored_plan, anchored_plans, AnchoredPlan};
 pub use auxplan::{TrimDirective, DEFAULT_AUX_THRESHOLD};
 pub use exec_order::{ExecOp, ExecutionOrder};
-pub use multiplan::{
-    MultiNode, MultiPlan, MultiPlanError, MultiPlanStats, NormOp, MAX_MULTI_MEMBERS,
-};
 pub use plan::QueryPlan;

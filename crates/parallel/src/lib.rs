@@ -39,10 +39,8 @@
 //! assert_eq!(pr.report.matches, 56); // C(8,3)
 //! ```
 
-pub mod multi;
 pub mod scheduler;
 
-pub use multi::{run_multi_parallel, MultiParallelReport};
 pub use scheduler::{
     compute_stats_parallel, run_plan_parallel, run_query_parallel, BalancePolicy, CpuSlot,
     CpuTopology, InitialPartition, ParallelConfig, ParallelReport, StealTier, TopologyMode,

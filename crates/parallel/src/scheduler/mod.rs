@@ -66,11 +66,11 @@
 //! **Adaptive granularity:** a worker that re-arms its demand ticket
 //! (i.e. starved for `REARM_SWEEPS` park periods without being fed)
 //! raises a shared *starvation pressure* counter. The next donor spends
-//! the accumulated pressure by splitting its donated half into that many
-//! finer sub-ranges (capped at [`MAX_DONATION_PIECES`]), so persistent
+//! the accumulated pressure by splitting its donated half into up to that
+//! many finer sub-ranges (capped at [`MAX_DONATION_PIECES`]), so persistent
 //! skew drives granularity down without oversubmitting on balanced
 //! inputs — under zero pressure a donation is exactly the paper's single
-//! donate-half range. Extra pieces are counted in
+//! donate-half range. Extra pieces actually submitted are counted in
 //! [`WorkerStats::splits`]; each donation still consumes exactly one
 //! ticket, so the `donations ≤ tickets` bound is untouched.
 //!
@@ -497,6 +497,21 @@ enum RootStep {
     Ran,
 }
 
+/// The sub-tasks a donation of `[mid, hi)` cut into at most `pieces`
+/// pieces submits: consecutive chunks of `ceil(len / pieces)` roots. That
+/// can be fewer than `pieces` (len 5 in 4 pieces is chunks of 2, so 3
+/// sub-tasks), so callers count what this yields, not what they asked for.
+fn donation_pieces(
+    mid: VertexId,
+    hi: VertexId,
+    pieces: usize,
+) -> impl Iterator<Item = (VertexId, VertexId)> {
+    let chunk = (hi - mid).div_ceil(pieces as VertexId);
+    (mid..hi)
+        .step_by(chunk as usize)
+        .map(move |lo| (lo, (lo + chunk).min(hi)))
+}
+
 /// One worker's published result.
 struct WorkerResult {
     ws: WorkerStats,
@@ -744,16 +759,14 @@ pub fn run_plan_parallel(
                                 let pieces = (1 + shared.take_pressure())
                                     .min(len)
                                     .min(MAX_DONATION_PIECES);
-                                let chunk = len.div_ceil(pieces) as VertexId;
-                                let mut plo = mid;
-                                while plo < hi {
-                                    let phi = (plo + chunk).min(hi);
-                                    shared.submit(&local, (plo, phi));
-                                    plo = phi;
+                                let mut submitted = 0;
+                                for piece in donation_pieces(mid, hi, pieces) {
+                                    shared.submit(&local, piece);
+                                    submitted += 1;
                                 }
                                 return RootStep::Donated {
                                     mid,
-                                    extra: pieces as u64 - 1,
+                                    extra: submitted - 1,
                                 };
                             }
                             enumerator.run_range(lo, lo + 1);
@@ -1271,6 +1284,19 @@ mod tests {
         );
         assert_eq!(pr.report.matches, expect);
         assert!(pr.workers.iter().all(|w| w.cpu.is_none()));
+    }
+
+    #[test]
+    fn donation_pieces_tile_the_range_and_may_be_fewer_than_asked() {
+        for (len, pieces, want) in [(5, 4, 3), (7, 3, 3), (1, 1, 1), (8, 8, 8)] {
+            let (mid, hi) = (10, 10 + len);
+            let got: Vec<_> = donation_pieces(mid, hi, pieces).collect();
+            assert_eq!(got.len(), want, "len {len} in {pieces} pieces: {got:?}");
+            assert_eq!(got[0].0, mid);
+            assert_eq!(got[got.len() - 1].1, hi);
+            assert!(got.windows(2).all(|w| w[0].1 == w[1].0), "{got:?}");
+            assert!(got.iter().all(|&(lo, hi)| lo < hi), "{got:?}");
+        }
     }
 
     #[test]

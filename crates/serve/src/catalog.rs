@@ -10,9 +10,8 @@
 //! [`GraphStats`] of that view (one full pass at load, then maintained
 //! incrementally by every commit), and a monotone **generation** counter
 //! that bumps on every successful update. The generation is the
-//! cache-invalidation contract: plan-cache keys and cross-query aux store
-//! entries embed it, so a mutation can never serve stale derived state
-//! (see DESIGN.md §17).
+//! cache-invalidation contract: plan-cache keys embed it, so a mutation
+//! can never serve a stale plan (see DESIGN.md §17).
 //!
 //! Entries come from three sources:
 //!

@@ -38,7 +38,6 @@
 //! assert!(resp.contains("\"status\":\"ok\""));
 //! ```
 
-pub mod batch;
 pub mod catalog;
 pub mod json;
 pub mod plan_cache;
@@ -48,7 +47,6 @@ pub mod reactor;
 pub mod server;
 pub mod service;
 
-pub use batch::{BatchGate, BatchVerdict, MemberExec, MemberOutput, MultiQueryMetrics, Ticket};
 pub use catalog::{CatalogEntry, GraphCatalog, GraphView};
 pub use plan_cache::{PlanCache, PlanKey, PLAN_CACHE_CAP};
 pub use protocol::{ErrorCode, Request, WireOutcome, MAX_REQUEST_BYTES};

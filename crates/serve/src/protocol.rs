@@ -426,9 +426,6 @@ pub struct QueryResult {
     pub graph: String,
     /// Contained worker panics (0 on healthy runs).
     pub failures: u64,
-    /// Members in the multi-query batch this query rode in (≥ 2), or
-    /// `None` when it executed alone. See DESIGN.md §16.
-    pub batch_size: Option<u64>,
     /// `--profile`-style recorder document, when requested.
     pub profile: Option<String>,
 }
@@ -453,9 +450,6 @@ pub fn render_result(r: &QueryResult) -> String {
         .str("plan_cache", if r.plan_cache_hit { "hit" } else { "miss" });
     if r.failures > 0 {
         w.u64("failures", r.failures);
-    }
-    if let Some(k) = r.batch_size {
-        w.u64("batch", k);
     }
     if let Some(p) = &r.profile {
         w.raw("profile", p);
@@ -830,7 +824,6 @@ mod tests {
             plan_cache_hit: true,
             graph: "g".into(),
             failures: 0,
-            batch_size: None,
             profile: None,
         });
         assert_eq!(response_field(&res, "status").unwrap().as_str(), Some("ok"));
@@ -838,10 +831,6 @@ mod tests {
         assert_eq!(
             response_field(&res, "plan_cache").unwrap().as_str(),
             Some("hit")
-        );
-        assert!(
-            response_field(&res, "batch").is_none(),
-            "unbatched results must not carry a batch field"
         );
 
         let partial = render_result(&QueryResult {
@@ -853,14 +842,12 @@ mod tests {
             plan_cache_hit: false,
             graph: "g".into(),
             failures: 2,
-            batch_size: Some(3),
             profile: Some("{\"enabled\":false}".into()),
         });
         assert_eq!(
             response_field(&partial, "status").unwrap().as_str(),
             Some("partial")
         );
-        assert_eq!(response_field(&partial, "batch").unwrap().as_u64(), Some(3));
         assert_eq!(
             response_field(&partial, "outcome").unwrap().as_str(),
             Some("timeout")

@@ -40,17 +40,14 @@
 //! within the engine's ≤ 100 ms cancel latency.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use light_core::engine::run_plan;
-use light_core::{
-    validate_query, CancelToken, CountVisitor, EngineConfig, EngineVariant, Outcome, SharedAuxStore,
-};
+use light_core::{validate_query, CancelToken, CountVisitor, EngineConfig, EngineVariant, Outcome};
 use light_parallel::{run_plan_parallel, ParallelConfig};
 use light_pattern::{PatternGraph, Query};
 
-use crate::batch::{BatchGate, BatchVerdict, MemberExec, MemberOutput, Ticket};
 use crate::catalog::{GraphCatalog, GraphView};
 use crate::json::ObjWriter;
 use crate::plan_cache::{PlanCache, PlanKey};
@@ -104,16 +101,6 @@ pub struct ServeConfig {
     /// `--flat-topology` flag sets this; `LIGHT_FLAT_TOPOLOGY=1` forces
     /// it process-wide regardless.
     pub flat_topology: bool,
-    /// Multi-query batch collection window: an admitted query on graph G
-    /// waits this long for concurrent queries on G to join its shared
-    /// pass (DESIGN.md §16). `None` disables batching; `LIGHT_MQO=0`
-    /// disables it at runtime regardless. Bounds the worst-case latency a
-    /// lone query pays for batching.
-    pub batch_window: Option<Duration>,
-    /// Maintain a per-graph cross-query [`SharedAuxStore`] so concurrent
-    /// (even non-batchable) queries reuse each other's trimmed-adjacency
-    /// tables. `--no-shared-aux` clears it.
-    pub shared_aux: bool,
     /// Fold a mutated entry's delta overlay into a fresh base (rewriting
     /// the backing snapshot, for snapshot-loaded graphs) once it holds
     /// this many pending edges. `None` compacts only on explicit
@@ -133,8 +120,6 @@ impl Default for ServeConfig {
             mem_watermark: None,
             engine: EngineConfig::light(),
             flat_topology: false,
-            batch_window: Some(Duration::from_millis(2)),
-            shared_aux: true,
             compact_threshold: Some(32_768),
         }
     }
@@ -395,7 +380,7 @@ pub fn resident_memory_bytes() -> Option<u64> {
 }
 
 /// Render a panic payload for the `internal_error` response.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -424,15 +409,6 @@ pub struct QueryService {
     live: Mutex<Vec<CancelToken>>,
     /// Generation counter so stale tokens can be pruned cheaply.
     started: Instant,
-    /// Multi-query batch gate (DESIGN.md §16). Always present; whether
-    /// queries visit it is decided by `mqo`.
-    batch: BatchGate,
-    /// Per-graph cross-query aux stores, `(catalog name, store)`. The
-    /// catalog is immutable after startup, so a flat vector suffices.
-    shared_aux: Vec<(String, Arc<SharedAuxStore>)>,
-    /// Batching enabled: a window is configured and `LIGHT_MQO` ≠ "0"
-    /// (the env kill-switch is read once at construction).
-    mqo: bool,
     /// Maintained per-(pattern, graph) counts (`subscribe` op) plus the
     /// next subscription id. The lock is held across the whole update op
     /// — subscription maintenance, generation reads, and registration are
@@ -469,25 +445,6 @@ struct SubRegistry {
 impl QueryService {
     /// Build a service over a loaded catalog.
     pub fn new(catalog: GraphCatalog, cfg: ServeConfig) -> QueryService {
-        // One cross-query aux store per graph. The watermark mirrors the
-        // engine's per-query budget: with no explicit limit the store
-        // stays bounded structurally (fixed slot count).
-        let shared_aux: Vec<(String, Arc<SharedAuxStore>)> = if cfg.shared_aux {
-            catalog
-                .entries()
-                .iter()
-                .map(|e| {
-                    (
-                        e.name.clone(),
-                        Arc::new(SharedAuxStore::new(cfg.engine.max_memory_bytes)),
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mqo =
-            cfg.batch_window.is_some() && std::env::var("LIGHT_MQO").map_or(true, |v| v != "0");
         QueryService {
             admission: Admission::new(cfg.max_concurrent, cfg.queue_depth),
             plans: PlanCache::new(),
@@ -496,21 +453,10 @@ impl QueryService {
             shutdown: CancelToken::new(),
             live: Mutex::new(Vec::new()),
             started: Instant::now(),
-            batch: BatchGate::default(),
-            shared_aux,
-            mqo,
             subs: Mutex::new(SubRegistry::default()),
             catalog,
             cfg,
         }
-    }
-
-    /// The cross-query aux store for a graph, if the shared tier is on.
-    fn shared_store(&self, graph: &str) -> Option<&Arc<SharedAuxStore>> {
-        self.shared_aux
-            .iter()
-            .find(|(n, _)| n == graph)
-            .map(|(_, s)| s)
     }
 
     /// The shared drain token: cancel it to start a graceful drain. The
@@ -729,9 +675,8 @@ impl QueryService {
         }
     }
 
-    /// Apply one `update` batch: mutate the catalog entry, invalidate the
-    /// cross-query cache tiers, and differentially maintain every
-    /// subscribed count on the graph.
+    /// Apply one `update` batch: mutate the catalog entry and
+    /// differentially maintain every subscribed count on the graph.
     fn apply_update_op(&self, u: &UpdateRequest) -> String {
         let err = |code: ErrorCode, msg: String| {
             self.metrics.errors.fetch_add(1, Ordering::Relaxed);
@@ -778,11 +723,10 @@ impl QueryService {
             }
         };
         self.metrics.updates.fetch_add(1, Ordering::Relaxed);
-        // Nothing to invalidate: plan-cache keys and shared aux-store
-        // entries both embed the entry generation, so every cross-query
-        // cache tier misses at the new generation by construction, and a
-        // query still running on the old view keeps reading — and
-        // publishing — under the old one.
+        // Nothing to invalidate: plan-cache keys embed the entry
+        // generation, so the cache misses at the new generation by
+        // construction, and a query still running on the old view keeps
+        // its own plan.
         // Differential maintenance: count only the embeddings the batch
         // destroyed (in the pre graph) or created (in the post graph).
         let mut deltas = Vec::new();
@@ -948,9 +892,8 @@ impl QueryService {
             Err(e) => return err(ErrorCode::BadPattern, e),
         };
         // One consistent (graph, generation, stats) triple for the whole
-        // query: the plan-cache key, planning statistics, aux-store stamp
-        // and execution all see the same view even if an update commits
-        // mid-query.
+        // query: the plan-cache key, planning statistics and execution all
+        // see the same view even if an update commits mid-query.
         let GraphView {
             graph,
             generation,
@@ -1017,13 +960,6 @@ impl QueryService {
         let profile_rec = q.profile.then(light_metrics::Recorder::new);
         cfg.metrics = profile_rec.clone().unwrap_or_else(|| self.recorder.clone());
 
-        // Cross-query aux tier: every query on this generation of the
-        // graph (batched or not) reads and feeds the same
-        // trimmed-adjacency store.
-        if let Some(store) = self.shared_store(&entry.name) {
-            cfg.shared_aux = Some(store.at(generation));
-        }
-
         let key = PlanKey::new(&pattern, &entry.name, generation, &cfg);
         let (plan, cache_hit) = self.plans.get_or_build(key, || {
             light_failpoint::fail_point!("serve::plan_build");
@@ -1031,62 +967,6 @@ impl QueryService {
         });
 
         let pcfg = ParallelConfig::new(threads).flat_topology(self.cfg.flat_topology);
-
-        // Multi-query gate (DESIGN.md §16): batchable queries wait one
-        // collection window for siblings on the same graph and run as one
-        // shared pass. Profiled queries stay solo (their recorder is
-        // per-query), and a Solo verdict — singleton window, compile
-        // fallback, stalled leader — falls through to the ordinary path.
-        if self.mqo && !q.profile {
-            if let Some(window) = self.cfg.batch_window {
-                let member = MemberExec {
-                    plan: Arc::clone(&plan),
-                    time_budget: deadline,
-                    cancel: cfg.cancel.clone().expect("cancel token set above"),
-                    threads,
-                };
-                let verdict = match self.batch.join(&entry.name, member) {
-                    Ticket::Leader(grp) => {
-                        // Per-member budget/cancel ride the member specs;
-                        // the pass-wide config must not impose the
-                        // leader's own deadline on its siblings.
-                        let mut bcfg = cfg.clone();
-                        bcfg.time_budget = None;
-                        bcfg.cancel = None;
-                        self.batch
-                            .lead(&grp, &entry.name, &graph, window, &bcfg, &pcfg)
-                    }
-                    Ticket::Follower(grp, idx) => {
-                        let cutoff = deadline.unwrap_or(Duration::from_secs(3600))
-                            + window
-                            + self.cfg.drain_grace
-                            + Duration::from_secs(5);
-                        self.batch.follow(&grp, idx, cutoff)
-                    }
-                };
-                match verdict {
-                    BatchVerdict::Ran(Ok(out)) => {
-                        return self.render_batched(q, &out, &entry.name, queue_wait, cache_hit)
-                    }
-                    BatchVerdict::Ran(Err(msg)) => {
-                        // Typed per-member containment: this member's slot
-                        // of the shared pass panicked (or the whole pass
-                        // did). Siblings are unaffected.
-                        self.metrics.note_panic();
-                        return protocol::render_internal(
-                            &q.id,
-                            &msg,
-                            &[
-                                ("graph", entry.name.as_str()),
-                                ("pattern", &q.pattern),
-                                ("batch", "member"),
-                            ],
-                        );
-                    }
-                    BatchVerdict::Solo => {}
-                }
-            }
-        }
 
         let t_exec = Instant::now();
         let pr = run_plan_parallel(&plan, &graph, &cfg, &pcfg);
@@ -1126,65 +1006,7 @@ impl QueryService {
             plan_cache_hit: cache_hit,
             graph: entry.name.clone(),
             failures: pr.failures.len() as u64,
-            batch_size: None,
             profile: profile_rec.map(|r| r.to_json()),
-        })
-    }
-
-    /// Account and render one member's result from a shared batch pass.
-    ///
-    /// Per-member counters (ok/partial/timeout/cancelled/matches) are
-    /// bumped by each member's own handler thread; the pass's execution
-    /// time is recorded once, by the leader, so `retry_after_ms` keeps
-    /// estimating wall time per execution lane rather than summing the
-    /// same pass `k` times.
-    fn render_batched(
-        &self,
-        q: &QueryRequest,
-        out: &MemberOutput,
-        graph: &str,
-        queue_wait: Duration,
-        cache_hit: bool,
-    ) -> String {
-        if out.leader {
-            self.metrics
-                .exec_ns
-                .fetch_add(out.elapsed.as_nanos() as u64, Ordering::Relaxed);
-            self.metrics.exec_done.fetch_add(1, Ordering::Relaxed);
-        }
-        let outcome = match out.outcome {
-            Outcome::OutOfTime => WireOutcome::Timeout,
-            Outcome::Cancelled => WireOutcome::Cancelled,
-            Outcome::MemoryExceeded => WireOutcome::MemoryExceeded,
-            _ if out.failures > 0 => WireOutcome::PartialPanic,
-            _ => WireOutcome::Complete,
-        };
-        match outcome {
-            WireOutcome::Complete => self.metrics.ok.fetch_add(1, Ordering::Relaxed),
-            WireOutcome::Timeout => {
-                self.metrics.partial.fetch_add(1, Ordering::Relaxed);
-                self.metrics.timeouts.fetch_add(1, Ordering::Relaxed)
-            }
-            WireOutcome::Cancelled => {
-                self.metrics.partial.fetch_add(1, Ordering::Relaxed);
-                self.metrics.cancelled.fetch_add(1, Ordering::Relaxed)
-            }
-            _ => self.metrics.partial.fetch_add(1, Ordering::Relaxed),
-        };
-        self.metrics
-            .matches_returned
-            .fetch_add(out.matches, Ordering::Relaxed);
-        protocol::render_result(&QueryResult {
-            id: q.id.clone(),
-            matches: out.matches,
-            outcome,
-            elapsed_ms: out.elapsed.as_secs_f64() * 1e3,
-            queue_ms: queue_wait.as_secs_f64() * 1e3,
-            plan_cache_hit: cache_hit,
-            graph: graph.to_string(),
-            failures: out.failures,
-            batch_size: Some(out.members as u64),
-            profile: None,
         })
     }
 
@@ -1224,54 +1046,6 @@ impl QueryService {
             .u64("entries", self.plans.len() as u64)
             .u64("evictions", self.plans.evictions());
 
-        let mq = &self.batch.metrics;
-        let hist: Vec<String> = mq
-            .shared_depth_hist
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed).to_string())
-            .collect();
-        let mut shared = ObjWriter::new();
-        if self.shared_aux.is_empty() {
-            shared.bool("enabled", false);
-        } else {
-            let mut sum = light_core::SharedAuxCounters::default();
-            for (_, store) in &self.shared_aux {
-                let c = store.counters();
-                sum.hits += c.hits;
-                sum.misses += c.misses;
-                sum.stores += c.stores;
-                sum.evictions += c.evictions;
-                sum.bytes += c.bytes;
-            }
-            shared
-                .bool("enabled", true)
-                .u64("hits", sum.hits)
-                .u64("misses", sum.misses)
-                .u64("stores", sum.stores)
-                .u64("evictions", sum.evictions)
-                .u64("bytes", sum.bytes as u64);
-        }
-        let mut multiquery = ObjWriter::new();
-        multiquery
-            .bool("enabled", self.mqo)
-            .f64(
-                "window_ms",
-                self.cfg.batch_window.map_or(0.0, |w| w.as_secs_f64() * 1e3),
-            )
-            .u64("batches", mq.batches.load(Ordering::Relaxed))
-            .u64(
-                "batched_members",
-                mq.batched_members.load(Ordering::Relaxed),
-            )
-            .u64("singletons", mq.singletons.load(Ordering::Relaxed))
-            .u64("fallbacks", mq.fallbacks.load(Ordering::Relaxed))
-            .raw("shared_depth_hist", &format!("[{}]", hist.join(",")))
-            .u64(
-                "saved_intersections_est",
-                mq.saved_intersections_est.load(Ordering::Relaxed),
-            )
-            .raw("shared_aux", &shared.finish());
-
         let mut w = ObjWriter::new();
         w.raw("id", id)
             .str("status", "ok")
@@ -1282,8 +1056,7 @@ impl QueryService {
             .u64("graphs", self.catalog.len() as u64)
             .raw("queries", &queries.finish())
             .raw("queue", &queue.finish())
-            .raw("plan_cache", &plans.finish())
-            .raw("multiquery", &multiquery.finish());
+            .raw("plan_cache", &plans.finish());
         if engine {
             // The full light-metrics document ({"enabled": false} when the
             // feature is compiled out) — engine-side observability rides

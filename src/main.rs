@@ -226,7 +226,6 @@ USAGE:
                  [--threads <per-query>] [--timeout <secs>|none]
                  [--drain-grace <secs>] [--idle-timeout <secs>|none]
                  [--mem-watermark <MiB>] [--flat-topology] [--no-mmap]
-                 [--batch-window-ms <ms>] [--no-shared-aux]
                  [--compact-threshold <edges>]
                  [engine options as for count]
 
@@ -241,15 +240,12 @@ USAGE:
   handler thread per connection. --idle-timeout (default 30) hangs up on
   connections stalled mid-request-line; --mem-watermark freezes admission
   queue growth while resident memory exceeds it (queued low-priority work
-  is shed to admit higher-priority arrivals). --batch-window-ms (default
-  2, 0 = off) is the multi-query collection window: admitted queries on
-  the same graph that arrive within it run as ONE shared enumeration
-  pass over their common plan prefix (LIGHT_MQO=0 disables at runtime);
-  --no-shared-aux drops the per-graph cross-query trimmed-adjacency
-  cache that concurrent queries otherwise share. Graphs mutate in place
-  via the update op (see light query below); --compact-threshold
-  (default 32768, 0 = never) is the pending-overlay size at which an
-  update also folds the delta overlay into a fresh base snapshot.
+  is shed to admit higher-priority arrivals). Each query runs on its own,
+  through the plan cache and the parallel engine, as `light count` does.
+  Graphs mutate in place via the update op (see light query below);
+  --compact-threshold (default 32768, 0 = never) is the pending-overlay
+  size at which an update also folds the delta overlay into a fresh base
+  snapshot.
 
   light query    --socket <path> [--pattern <..>] [--graph <name>]
                  [--timeout-ms <ms>] [--threads <k>] [--variant ..]
@@ -284,7 +280,6 @@ const FLAG_OPTS: &[&str] = &[
     "no-aux-cache",
     "flat-topology",
     "no-mmap",
-    "no-shared-aux",
     "compact",
 ];
 
@@ -825,12 +820,6 @@ fn cmd_serve(opts: &Opts) -> Result<ExitCode, String> {
         })
         .transpose()?
         .map(|mib| mib * 1024 * 1024);
-    // Multi-query batching: --batch-window-ms 0 disables the gate
-    // (LIGHT_MQO=0 does too, at runtime).
-    let batch_window = match parse_usize("batch-window-ms", 2)? {
-        0 => None,
-        ms => Some(Duration::from_millis(ms as u64)),
-    };
     let cfg = ServeConfig {
         max_concurrent: parse_usize("max-concurrent", 2)?.max(1),
         queue_depth: parse_usize("queue-depth", 4)?,
@@ -840,8 +829,6 @@ fn cmd_serve(opts: &Opts) -> Result<ExitCode, String> {
         idle_timeout,
         mem_watermark,
         flat_topology: opts.contains_key("flat-topology"),
-        batch_window,
-        shared_aux: !opts.contains_key("no-shared-aux"),
         // --compact-threshold 0 disables automatic overlay compaction
         // (explicit {"op":"update","compact":true} still works).
         compact_threshold: match parse_usize("compact-threshold", 32_768)? {

@@ -94,36 +94,6 @@ fn service() -> Arc<QueryService> {
             idle_timeout: Some(Duration::from_secs(30)),
             mem_watermark: None,
             flat_topology: false,
-            // Legacy legs pin the gate off so their fault accounting
-            // stays per-query; the batch leg below turns it on.
-            batch_window: None,
-            shared_aux: false,
-            compact_threshold: Some(32_768),
-            engine: EngineConfig::light(),
-        },
-    ))
-}
-
-/// A daemon with the multi-query gate on: a wide window so concurrent
-/// chaos clients reliably coalesce into shared passes.
-fn batched_service() -> Arc<QueryService> {
-    let mut catalog = GraphCatalog::new();
-    catalog
-        .insert("g", light::graph::generators::barabasi_albert(300, 3, 9))
-        .unwrap();
-    Arc::new(QueryService::new(
-        catalog,
-        ServeConfig {
-            max_concurrent: CLIENTS,
-            queue_depth: 16,
-            threads_per_query: 1,
-            default_timeout: Some(Duration::from_secs(60)),
-            drain_grace: Duration::from_secs(10),
-            idle_timeout: Some(Duration::from_secs(30)),
-            mem_watermark: None,
-            flat_topology: false,
-            batch_window: Some(Duration::from_millis(30)),
-            shared_aux: true,
             compact_threshold: Some(32_768),
             engine: EngineConfig::light(),
         },
@@ -523,104 +493,6 @@ fn unarmed_scenario_matches_one_shot_counts() {
                 );
             }
             assert_eq!(panics_total(&path), 0);
-            shutdown_and_drain(&svc, server, &path);
-        });
-    }
-}
-
-/// Batch containment: a panic injected inside one member's slot of a
-/// live shared pass (`serve::batch_member`) must surface as a typed
-/// `internal_error` for that member alone — sibling members of the same
-/// batch still answer with exact counts, the conservation law holds
-/// (one terminal response per request), `panics_total` equals the
-/// internal errors clients saw, batches demonstrably formed, and the
-/// daemon drains clean.
-#[test]
-fn batch_member_panics_are_typed_and_do_not_perturb_siblings() {
-    let _s = failpoint::FailScenario::setup();
-    quiet_injected_panics();
-    for kind in transports() {
-        let kind = *kind;
-        watchdog(&format!("batch/{kind}"), move || {
-            let svc = batched_service();
-            let expect = expected_counts(&svc);
-            let path = sock_path(&format!("batch_{kind}"));
-            let server = Server::bind(kind, Arc::clone(&svc), &path);
-
-            failpoint::configure("serve::batch_member", "0.3@5:panic").unwrap();
-            let per_client = 6;
-            let responses = client_matrix(&path, per_client);
-            failpoint::remove("serve::batch_member");
-            assert_eq!(
-                responses.len(),
-                CLIENTS * per_client,
-                "conservation: one response per request"
-            );
-
-            let mut panicked = 0u64;
-            let mut ok = 0u64;
-            for (id, resp) in &responses {
-                assert_terminal(resp);
-                match resp.get("status").and_then(Json::as_str) {
-                    Some("ok") => {
-                        let (c, i) = id[1..].split_once("-q").expect("id shape");
-                        let idx = (c.parse::<usize>().unwrap() + i.parse::<usize>().unwrap())
-                            % PATTERNS.len();
-                        assert_eq!(
-                            resp.get("matches").and_then(Json::as_u64),
-                            Some(expect[idx].1),
-                            "{kind} {id}: a member that survives its batch must \
-                             return the exact count even when a sibling panicked"
-                        );
-                        ok += 1;
-                    }
-                    Some("error") => {
-                        assert_eq!(
-                            resp.get("code").and_then(Json::as_str),
-                            Some("internal_error"),
-                            "{resp:?}"
-                        );
-                        panicked += 1;
-                    }
-                    other => panic!("{kind} {id}: unexpected status {other:?}"),
-                }
-            }
-            assert!(ok > 0, "{kind}: p=0.3 cannot kill every batch member");
-            assert!(
-                panicked > 0,
-                "{kind}: with batches forming, p=0.3 must hit at least one member"
-            );
-            assert_eq!(
-                panics_total(&path),
-                panicked,
-                "{kind}: panics_total must equal the internal errors clients saw"
-            );
-
-            // The fault only fires inside batch assembly, so hits prove
-            // shared passes actually formed; the stats section must agree.
-            let mut s = connect(&path);
-            let stats = roundtrip(&mut s, "{\"op\":\"stats\",\"id\":\"mq\"}");
-            let mq = stats.get("multiquery").expect("multiquery stats section");
-            assert_eq!(mq.get("enabled").and_then(Json::as_bool), Some(true));
-            assert!(
-                mq.get("batches").and_then(Json::as_u64).unwrap_or(0) > 0,
-                "batches must have formed: {stats:?}"
-            );
-
-            // Post-fault: exact counts, the gate and shared aux store
-            // survived the contained member panics.
-            for (pat, matches) in &expect {
-                let resp = roundtrip(
-                    &mut s,
-                    &format!("{{\"op\":\"query\",\"pattern\":\"{pat}\",\"id\":\"after-{pat}\"}}"),
-                );
-                assert_eq!(
-                    resp.get("matches").and_then(Json::as_u64),
-                    Some(*matches),
-                    "{kind}: post-fault count for {pat} must be exact: {resp:?}"
-                );
-            }
-            drop(s);
             shutdown_and_drain(&svc, server, &path);
         });
     }

@@ -1,5 +1,5 @@
 //! End-to-end tests for the serve tier's dynamic-graph ops: `update`
-//! batches that mutate a served graph in place, the cross-query cache
+//! batches that mutate a served graph in place, the plan-cache
 //! invalidation contract (an update between two identical queries must
 //! change the answer — and the second query must not be served a stale
 //! plan or a stale count), and `subscribe`/`unsubscribe` incremental
@@ -29,8 +29,6 @@ fn service() -> Arc<QueryService> {
             idle_timeout: Some(Duration::from_secs(30)),
             mem_watermark: None,
             flat_topology: false,
-            batch_window: None,
-            shared_aux: true,
             compact_threshold: Some(32_768),
             engine: EngineConfig::light(),
         },
@@ -68,8 +66,8 @@ fn missing_triangle_edge(g: &light::graph::CsrGraph) -> (u32, u32) {
 
 /// Satellite regression: an `update` between two identical queries must
 /// change the served count, with the post-update query reflecting the
-/// mutated graph exactly (stale plans and stale shared aux state would
-/// both surface here as a wrong second count).
+/// mutated graph exactly (a stale plan would surface here as a wrong
+/// second count).
 #[test]
 fn update_between_identical_queries_changes_the_count() {
     let svc = service();
@@ -513,37 +511,4 @@ fn catalog_triangles_after_updates_equal_light_stats_on_the_compacted_snapshot()
         Some(field("edges:"))
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The stale-read race (benchmark baseline finding 5), replayed in order:
-/// a query takes its view at generation g, an update commits g+1, and only
-/// then does the old query publish an intersection of the old graph. A
-/// query on the new view must not be served it.
-#[test]
-fn aux_entry_published_after_a_commit_is_invisible_to_the_next_generation() {
-    use light::core::{SharedAuxStore, SharedKey};
-
-    let mut catalog = GraphCatalog::new();
-    catalog
-        .insert("g", light::graph::generators::complete(5))
-        .unwrap();
-    let entry = catalog.get("g").unwrap();
-    let store = Arc::new(SharedAuxStore::new(None));
-
-    let old_view = entry.view();
-    let old_query = store.at(old_view.generation);
-    entry.apply_update(&[(2, 3)], &[], None, false).unwrap();
-    let new_view = entry.view();
-    assert_eq!(new_view.generation, old_view.generation + 1);
-
-    // N(0) ∩ N(1) as the old graph had it.
-    let key = SharedKey::new(&[0, 1]).unwrap();
-    old_query.store(&key, &[2, 3, 4]);
-
-    let mut out = Vec::new();
-    assert!(!store.at(new_view.generation).lookup(&key, &mut out));
-    assert!(
-        old_query.lookup(&key, &mut out),
-        "old view keeps its entries"
-    );
 }

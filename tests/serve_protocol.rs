@@ -111,9 +111,6 @@ fn overload_rejections_are_typed_and_bounded() {
             idle_timeout: Some(Duration::from_secs(30)),
             mem_watermark: None,
             flat_topology: false,
-            // Overload-timing golden: keep the batch gate's window out.
-            batch_window: None,
-            shared_aux: false,
             compact_threshold: Some(32_768),
             engine: EngineConfig::light(),
         },

@@ -58,10 +58,6 @@ fn service(idle_timeout: Option<Duration>) -> Arc<QueryService> {
             idle_timeout,
             mem_watermark: None,
             flat_topology: false,
-            // Timing-sensitive legs (slowloris, drain races): keep the
-            // batch gate out of the picture.
-            batch_window: None,
-            shared_aux: false,
             compact_threshold: Some(32_768),
             engine: EngineConfig::light(),
         },
