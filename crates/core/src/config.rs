@@ -68,9 +68,8 @@ pub struct EngineConfig {
     /// Hybrid skew threshold δ (paper: 50).
     pub delta: usize,
     /// Enable the auxiliary candidate cache (trimmed-adjacency reuse
-    /// across sibling subtrees, DESIGN.md §11). On by default; the
-    /// `LIGHT_AUX_CACHE=0` environment variable (read at config
-    /// construction) or [`EngineConfig::aux_cache`] turns it off.
+    /// across sibling subtrees, DESIGN.md §11). On by default;
+    /// [`EngineConfig::aux_cache`] turns it off.
     pub aux_cache: bool,
     /// Benefit threshold for the auxiliary-cache planner: a σ slot is only
     /// memoized when a cached entry's estimated reuse (Eq. 8 expand
@@ -141,8 +140,7 @@ impl EngineConfig {
             variant,
             intersect: IntersectKind::best_available(),
             delta: DEFAULT_DELTA,
-            aux_cache: std::env::var("LIGHT_AUX_CACHE")
-                .map_or(true, |v| !(v == "0" || v.eq_ignore_ascii_case("off"))),
+            aux_cache: true,
             aux_threshold: light_order::DEFAULT_AUX_THRESHOLD,
             symmetry_breaking: true,
             time_budget: None,

@@ -53,6 +53,7 @@ use light_graph::{CsrGraph, VertexId, INVALID_VERTEX};
 use light_metrics::{LocalRecorder, Recorder, Stopwatch};
 use light_order::exec_order::ExecOp;
 use light_order::{QueryPlan, TrimDirective};
+use light_pattern::MAX_PATTERN_VERTICES;
 use light_setops::{intersect_many_recorded, trim_into, Intersector};
 
 use crate::auxcache::AuxCache;
@@ -91,7 +92,14 @@ pub struct Enumerator<'a, V: MatchVisitor> {
     symmetry: bool,
     bind_filter: Option<crate::config::BindFilter>,
 
-    phi: Vec<VertexId>,
+    /// φ: the data vertex bound to each pattern vertex, `INVALID_VERTEX`
+    /// where unbound (always so past the pattern's size). Inline rather
+    /// than a heap block because it is written on every bind: a block
+    /// this small can be carved from a chunk that the thread which
+    /// spawned the workers freed beside a sibling worker's, and two
+    /// workers writing one cache line doubled the CPU time of a 2-thread
+    /// run on a 2-vCPU x86-64 host.
+    phi: [VertexId; MAX_PATTERN_VERTICES],
     cands: Vec<Vec<VertexId>>,
     cand_ref: Vec<CandRef>,
     scratch: Vec<VertexId>,
@@ -146,7 +154,7 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
             isec: Intersector::with_delta(config.intersect, config.delta),
             symmetry: config.symmetry_breaking,
             bind_filter: config.bind_filter.clone(),
-            phi: vec![INVALID_VERTEX; n],
+            phi: [INVALID_VERTEX; MAX_PATTERN_VERTICES],
             cands: vec![Vec::new(); n],
             cand_ref: vec![CandRef::Owned; n],
             scratch: Vec::new(),
@@ -337,7 +345,8 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
         self.cur_depth = i;
         if i == self.plan.sigma().len() {
             self.matches += 1;
-            if self.visitor.on_match(&self.phi) == ControlFlow::Break(()) {
+            let n = self.plan.pattern().num_vertices();
+            if self.visitor.on_match(&self.phi[..n]) == ControlFlow::Break(()) {
                 self.stopped = true;
             }
             return;
@@ -447,7 +456,7 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
                     local,
                     ..
                 } = self;
-                let (g, cands, cand_ref, phi) = (*g, &**cands, &**cand_ref, &**phi);
+                let (g, cands, cand_ref, phi) = (*g, &**cands, &**cand_ref, &phi[..]);
                 let ops = &plan.operands()[u as usize];
                 local.owned_intersection();
                 light_failpoint::fail_point!("engine::intersect");

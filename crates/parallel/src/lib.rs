@@ -13,11 +13,12 @@
 //! * tasks are root-vertex ranges `[lo, hi)` of `C_φ(π[1]) = V(G)`;
 //! * each worker owns a warm [`light_core::Enumerator`] (buffers persist
 //!   across tasks) and processes its range one root vertex at a time;
-//! * between roots, a busy worker checks `idle > 0 && queue empty` and, if
-//!   so, splits its remaining range in half, pushes one half to the global
-//!   queue, and wakes a sleeper — the donation path;
-//! * idle workers park on a condvar; the run terminates when the queue is
-//!   empty and no task is in progress.
+//! * between roots, a busy worker that can claim an idle worker's demand
+//!   ticket splits its remaining range in half, pushes one half onto its
+//!   own deque for thieves to take, and wakes a sleeper — the donation
+//!   path;
+//! * idle workers park on a condvar; the run terminates when every queue
+//!   is empty and no task is in progress.
 //!
 //! Memory stays `O(k · n · d_max)` for `k` workers — each worker holds one
 //! partial result and one candidate set per pattern vertex — which is the
@@ -43,6 +44,5 @@ pub mod scheduler;
 
 pub use scheduler::{
     compute_stats_parallel, run_plan_parallel, run_query_parallel, BalancePolicy, CpuSlot,
-    CpuTopology, InitialPartition, ParallelConfig, ParallelReport, StealTier, TopologyMode,
-    WorkerStats,
+    CpuTopology, ParallelConfig, ParallelReport, StealTier, TopologyMode, WorkerStats,
 };

@@ -2,15 +2,16 @@
 //!
 //! ## Queue architecture
 //!
-//! Tasks flow through a lock-free three-level structure instead of a
-//! global `Mutex<Vec<Task>>`:
+//! Tasks are root-vertex ranges, so the queues carry a handful of tasks
+//! per run (one seed per worker plus one per donation). Each queue is a
+//! `Mutex<VecDeque<Task>>`; no sweep ever holds two of these locks.
 //!
-//! * **Per-worker Chase–Lev deques** — owners push/pop LIFO without locks;
-//!   other workers steal FIFO from the cold end. Donations go to the
-//!   donor's *own* deque (a plain LIFO push, no shared-structure
-//!   contention) and are picked up by thieves.
-//! * **A lock-free injector** — seeds the initial partition and absorbs
-//!   deque overflow.
+//! * **Per-worker deques** — the owner pushes and pops at the back
+//!   (LIFO); thieves pop from the front (FIFO, the oldest task).
+//!   Donations go to the donor's *own* deque and are picked up by
+//!   thieves.
+//! * **A FIFO seed queue** — holds the initial partition. A pickup from it
+//!   is not a steal.
 //! * **A parking lot** — a mutex + condvar used *only* to park idle
 //!   workers; no task ever travels through it. Parks are timeout-bounded,
 //!   so a lost wakeup costs microseconds, not liveness.
@@ -74,22 +75,19 @@
 //! [`WorkerStats::splits`]; each donation still consumes exactly one
 //! ticket, so the `donations ≤ tickets` bound is untouched.
 //!
-//! The kill-switch `ParallelConfig::flat_topology(true)` (CLI
-//! `--flat-topology`, env `LIGHT_FLAT_TOPOLOGY=1`) collapses everything
-//! back to the old behavior: no pinning, round-robin victim sweep,
-//! all-zero tier counters.
+//! When detection fails the topology is [`CpuTopology::flat`]: no
+//! pinning, round-robin victim sweep, all-zero tier counters.
 
 pub mod affinity;
 pub mod topology;
 
 pub use topology::{CpuSlot, CpuTopology, StealTier};
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use crossbeam::utils::Backoff;
 use parking_lot::{Condvar, Mutex};
 
 use light_core::error::panic_payload_string;
@@ -101,6 +99,10 @@ use light_pattern::PatternGraph;
 
 /// A unit of work: root vertices `[lo, hi)` for `π[1]`.
 type Task = (VertexId, VertexId);
+
+/// Seed tasks per worker: the paper's even initial partition. The rest of
+/// the balance comes from donations.
+const INITIAL_TASKS_PER_THREAD: usize = 1;
 
 /// How long an idle worker parks before re-sweeping the queues. Bounds the
 /// cost of any lost-wakeup race to one sweep period.
@@ -137,36 +139,16 @@ pub enum BalancePolicy {
     Static,
 }
 
-/// How the root candidate range is split into initial tasks.
-///
-/// §VIII-A observes that the naive distributed LIGHT was missing "the
-/// estimation of workload given a partition of the candidate set":
-/// [`InitialPartition::DegreeWeighted`] supplies exactly that — ranges are
-/// cut so each holds roughly the same total degree (a proxy for subtree
-/// work), which matters most under [`BalancePolicy::Static`] where no
-/// stealing can repair a bad split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InitialPartition {
-    /// Equal-width vertex ranges (the naive split).
-    Even,
-    /// Ranges balanced by total vertex degree.
-    DegreeWeighted,
-}
-
 /// Where the scheduler gets its view of the CPU hierarchy.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TopologyMode {
     /// Detect from the live `/sys` (cached per process); falls back to
-    /// flat if detection fails. This is the default unless the
-    /// `LIGHT_FLAT_TOPOLOGY=1` kill-switch is set in the environment.
+    /// [`CpuTopology::flat`] if detection fails.
     #[default]
     Auto,
-    /// Topology-blind: no pinning, round-robin victim sweep, zero tier
-    /// counters — the pre-topology scheduler, byte for byte. The
-    /// `--flat-topology` CLI flag selects this.
-    Flat,
     /// An injected topology (tests and harnesses fabricate multi-node
-    /// layouts on any host).
+    /// layouts on any host; [`CpuTopology::flat`] is the topology-blind
+    /// scheduler).
     Custom(CpuTopology),
 }
 
@@ -175,14 +157,9 @@ pub enum TopologyMode {
 pub struct ParallelConfig {
     /// Number of worker threads (the paper scales 1..64).
     pub num_threads: usize,
-    /// Initial tasks seeded per thread (the rest of the balance comes from
-    /// donations). 1 matches the paper's even initial partitioning.
-    pub initial_tasks_per_thread: usize,
     /// Load-balancing policy (default: the paper's donate-half stealing).
     pub policy: BalancePolicy,
-    /// Initial range split (default: even widths; stealing fixes skew).
-    pub initial_partition: InitialPartition,
-    /// CPU hierarchy source (default: auto-detect with env kill-switch).
+    /// CPU hierarchy source (default: auto-detect).
     pub topology: TopologyMode,
     /// Pin workers to their assigned CPUs (best-effort; ignored under a
     /// flat topology). Off only for runs that must not touch affinity.
@@ -190,15 +167,13 @@ pub struct ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// `num_threads` workers, donate-half stealing, even partition,
-    /// auto-detected topology.
+    /// `num_threads` workers, donate-half stealing, auto-detected
+    /// topology.
     pub fn new(num_threads: usize) -> Self {
         assert!(num_threads >= 1);
         ParallelConfig {
             num_threads,
-            initial_tasks_per_thread: 1,
             policy: BalancePolicy::DonateHalf,
-            initial_partition: InitialPartition::Even,
             topology: TopologyMode::Auto,
             pin_workers: true,
         }
@@ -210,50 +185,20 @@ impl ParallelConfig {
         self
     }
 
-    /// Builder-style initial-partition override.
-    pub fn partition(mut self, p: InitialPartition) -> Self {
-        self.initial_partition = p;
-        self
-    }
-
     /// Builder-style topology override.
     pub fn topology(mut self, t: TopologyMode) -> Self {
         self.topology = t;
         self
     }
 
-    /// Kill-switch: `true` forces the flat (topology-blind) scheduler.
-    pub fn flat_topology(mut self, flat: bool) -> Self {
-        if flat {
-            self.topology = TopologyMode::Flat;
-        }
-        self
-    }
-
-    /// Resolve the effective topology for this run. `Auto` honors the
-    /// `LIGHT_FLAT_TOPOLOGY=1` environment kill-switch, then a cached
-    /// one-time `/sys` detection.
+    /// Resolve the effective topology for this run: the injected one, or
+    /// a cached one-time `/sys` detection.
     fn resolve_topology(&self) -> CpuTopology {
         match &self.topology {
-            TopologyMode::Flat => CpuTopology::flat(topology::available_cpus()),
             TopologyMode::Custom(t) => t.clone(),
-            TopologyMode::Auto => {
-                if env_flat_topology() {
-                    CpuTopology::flat(topology::available_cpus())
-                } else {
-                    detected_topology().clone()
-                }
-            }
+            TopologyMode::Auto => detected_topology().clone(),
         }
     }
-}
-
-/// Whether `LIGHT_FLAT_TOPOLOGY=1` is set (read once per process; the
-/// serve daemon resolves topology per query, and hammering the env lock
-/// on that path would be silly).
-fn env_flat_topology() -> bool {
-    static FLAT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAT.get_or_init(|| matches!(std::env::var("LIGHT_FLAT_TOPOLOGY").as_deref(), Ok("1")))
 }
 
 /// The machine topology, detected once per process.
@@ -278,7 +223,7 @@ pub struct WorkerStats {
     pub steals: u64,
     /// Steals broken down by the topology tier of the victim, indexed by
     /// [`StealTier`] (`smt`, `llc`, `node`, `remote`). Sums to `steals`
-    /// under tiered stealing; all-zero under the flat kill-switch.
+    /// under tiered stealing; all-zero under a flat topology.
     pub steal_tiers: [u64; 4],
     /// Extra sub-tasks this worker carved out of its donations under
     /// starvation pressure (adaptive granularity). A plain donate-half
@@ -370,10 +315,11 @@ impl ParallelReport {
 }
 
 struct Shared {
-    /// Seeds the initial partition; absorbs per-worker deque overflow.
-    injector: Injector<Task>,
-    /// Steal handles into every worker's deque, indexed by worker id.
-    stealers: Vec<Stealer<Task>>,
+    /// The initial partition, taken FIFO so low ranges run first.
+    seeds: Mutex<VecDeque<Task>>,
+    /// Every worker's deque, indexed by worker id: the owner works the
+    /// back, thieves take from the front.
+    deques: Vec<Mutex<VecDeque<Task>>>,
     /// Tasks in existence: queued anywhere + currently executing.
     /// Incremented before a task becomes visible, decremented when its
     /// range is fully processed (or abandoned under stop). Zero = done.
@@ -397,17 +343,31 @@ struct Shared {
 }
 
 impl Shared {
-    /// Make a donated task visible: into the donor's own deque (LIFO,
-    /// uncontended), spilling to the injector if the deque is full, then
-    /// wake a parked worker to come steal it.
-    fn submit(&self, local: &Worker<Task>, t: Task) {
+    /// `workers` empty deques behind the `seeds` queue; `pending` starts at
+    /// the seed count.
+    fn new(workers: usize, seeds: VecDeque<Task>, metrics: light_metrics::Recorder) -> Shared {
+        Shared {
+            pending: AtomicUsize::new(seeds.len()),
+            seeds: Mutex::new(seeds),
+            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            hungry: AtomicUsize::new(0),
+            pressure: AtomicUsize::new(0),
+            tickets_issued: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            parker: Mutex::new(()),
+            cv: Condvar::new(),
+            metrics,
+        }
+    }
+
+    /// Make a donated task visible: onto the back of the donor's own
+    /// deque, then wake a parked worker to come steal it.
+    fn submit(&self, worker: usize, t: Task) {
         let pending = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
         // Queue residency sampled at every donation: how deep the task pool
         // runs when load balancing is active.
         self.metrics.queue_residency(pending);
-        if let Err(t) = local.push(t) {
-            self.injector.push(t);
-        }
+        self.deques[worker].lock().push_back(t);
         // Serialize with parkers' recheck-then-wait so the notify cannot
         // fall between their sweep and their sleep.
         let _g = self.parker.lock();
@@ -441,40 +401,27 @@ impl Shared {
         self.pressure.swap(0, Ordering::AcqRel)
     }
 
-    /// One full sweep of every queue: own deque, injector, then the other
-    /// workers' deques in `victims` order (precomputed nearest-tier-first;
-    /// see [`CpuTopology::victim_order`]). Returns the task and, for a
-    /// steal, the topology tier it was resolved at.
+    /// One full sweep of every queue: own deque newest first, the seed
+    /// queue, then the other workers' deques oldest first in `victims`
+    /// order (precomputed nearest-tier-first; see
+    /// [`CpuTopology::victim_order`]). Returns the task and, for a steal,
+    /// the topology tier it was resolved at.
     fn find_task(
         &self,
-        local: &Worker<Task>,
+        worker: usize,
         victims: &[(usize, StealTier)],
     ) -> Option<(Task, Option<StealTier>)> {
-        if let Some(t) = local.pop() {
+        let own = self.deques[worker].lock().pop_back();
+        if let Some(t) = own.or_else(|| self.seeds.lock().pop_front()) {
             return Some((t, None));
-        }
-        let mut backoff = Backoff::new();
-        loop {
-            match self.injector.steal() {
-                Steal::Success(t) => return Some((t, None)),
-                Steal::Retry => backoff.spin(),
-                Steal::Empty => break,
-            }
         }
         // Chaos site: before the victim sweep, so an injected panic can
         // never lose a task that was already stolen.
         light_failpoint::fail_point!("scheduler::steal");
-        for &(victim, tier) in victims {
-            let mut backoff = Backoff::new();
-            loop {
-                match self.stealers[victim].steal() {
-                    Steal::Success(t) => return Some((t, Some(tier))),
-                    Steal::Retry => backoff.spin(),
-                    Steal::Empty => break,
-                }
-            }
-        }
-        None
+        victims.iter().find_map(|&(victim, tier)| {
+            let t = self.deques[victim].lock().pop_front()?;
+            Some((t, Some(tier)))
+        })
     }
 
     /// Retire a finished (or abandoned) task. The worker that takes
@@ -497,19 +444,19 @@ enum RootStep {
     Ran,
 }
 
-/// The sub-tasks a donation of `[mid, hi)` cut into at most `pieces`
-/// pieces submits: consecutive chunks of `ceil(len / pieces)` roots. That
-/// can be fewer than `pieces` (len 5 in 4 pieces is chunks of 2, so 3
-/// sub-tasks), so callers count what this yields, not what they asked for.
+/// `[lo, hi)` cut into at most `pieces` tasks: consecutive chunks of
+/// `ceil(len / pieces)` roots. That can be fewer than `pieces` (len 5 in 4
+/// pieces is chunks of 2, so 3 tasks), so callers count what this yields,
+/// not what they asked for. The seeds and every donation are cut this way.
 fn donation_pieces(
-    mid: VertexId,
+    lo: VertexId,
     hi: VertexId,
     pieces: usize,
 ) -> impl Iterator<Item = (VertexId, VertexId)> {
-    let chunk = (hi - mid).div_ceil(pieces as VertexId);
-    (mid..hi)
+    let chunk = (hi - lo).div_ceil(pieces.max(1) as VertexId).max(1);
+    (lo..hi)
         .step_by(chunk as usize)
-        .map(move |lo| (lo, (lo + chunk).min(hi)))
+        .map(move |start| (start, (start + chunk).min(hi)))
 }
 
 /// One worker's published result.
@@ -574,38 +521,8 @@ pub fn run_plan_parallel(
     let start = Instant::now();
     let n = g.num_vertices() as VertexId;
 
-    // Seed the queue with initial tasks over the root candidate range.
-    let initial = (pcfg.num_threads * pcfg.initial_tasks_per_thread).max(1) as VertexId;
-    let mut queue = Vec::new();
-    match pcfg.initial_partition {
-        InitialPartition::Even => {
-            let chunk = n.div_ceil(initial).max(1);
-            let mut lo = 0;
-            while lo < n {
-                let hi = (lo + chunk).min(n);
-                queue.push((lo, hi));
-                lo = hi;
-            }
-        }
-        InitialPartition::DegreeWeighted => {
-            // Cut the range so each task holds ~total_degree/initial, the
-            // workload estimate the paper's naive distribution lacked.
-            let total: u64 = (0..n).map(|v| g.degree(v) as u64).sum();
-            let target = (total / initial as u64).max(1);
-            let (mut lo, mut acc) = (0, 0u64);
-            for v in 0..n {
-                acc += g.degree(v) as u64;
-                if acc >= target && v + 1 < n {
-                    queue.push((lo, v + 1));
-                    lo = v + 1;
-                    acc = 0;
-                }
-            }
-            if lo < n {
-                queue.push((lo, n));
-            }
-        }
-    }
+    // Seed even-width initial tasks over the root candidate range.
+    let seeds = donation_pieces(0, n, pcfg.num_threads * INITIAL_TASKS_PER_THREAD).collect();
     // Resolve the CPU hierarchy once per run: worker → CPU assignment and
     // each worker's nearest-first victim sweep. On a flat topology the
     // sweep is the old `(id + step) % k` rotation and no one is pinned.
@@ -615,33 +532,13 @@ pub fn run_plan_parallel(
         .map(|w| topo.victim_order(w, pcfg.num_threads))
         .collect();
 
-    // Per-worker deques are created here so their stealers can live in
-    // `Shared`; each `Worker` handle moves into its own thread below.
-    let mut locals: Vec<Worker<Task>> = (0..pcfg.num_threads).map(|_| Worker::new_lifo()).collect();
-    let shared = Shared {
-        injector: Injector::new(),
-        stealers: locals.iter().map(Worker::stealer).collect(),
-        pending: AtomicUsize::new(queue.len()),
-        hungry: AtomicUsize::new(0),
-        pressure: AtomicUsize::new(0),
-        tickets_issued: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
-        parker: Mutex::new(()),
-        cv: Condvar::new(),
-        metrics: config.metrics.clone(),
-    };
-    // Injector steals are FIFO: push in order so low ranges run first.
-    for t in queue {
-        shared.injector.push(t);
-    }
-
+    let shared = Shared::new(pcfg.num_threads, seeds, config.metrics.clone());
     let results: Mutex<Vec<WorkerResult>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
-        for (worker_id, local) in locals.drain(..).enumerate() {
+        for (worker_id, victims) in victim_orders.iter().enumerate() {
             let shared = &shared;
             let results = &results;
-            let victims = &victim_orders[worker_id];
             let slot = topo.slot_for_worker(worker_id);
             scope.spawn(move || {
                 // Best-effort pinning: a refused mask (cpuset, seccomp,
@@ -661,11 +558,11 @@ pub fn run_plan_parallel(
                 let mut empty_sweeps: u32 = 0;
                 loop {
                     // A panic while sweeping the queues (the
-                    // scheduler::steal failpoint, or a deque bug) is
-                    // treated as an empty sweep: the termination check
-                    // below still runs, so the run cannot hang.
+                    // scheduler::steal failpoint) is treated as an empty
+                    // sweep: the termination check below still runs, so
+                    // the run cannot hang.
                     let found =
-                        catch_unwind(AssertUnwindSafe(|| shared.find_task(&local, victims)))
+                        catch_unwind(AssertUnwindSafe(|| shared.find_task(worker_id, victims)))
                             .unwrap_or(None);
                     let Some((task, stolen)) = found else {
                         if shared.pending.load(Ordering::SeqCst) == 0
@@ -761,7 +658,7 @@ pub fn run_plan_parallel(
                                     .min(MAX_DONATION_PIECES);
                                 let mut submitted = 0;
                                 for piece in donation_pieces(mid, hi, pieces) {
-                                    shared.submit(&local, piece);
+                                    shared.submit(worker_id, piece);
                                     submitted += 1;
                                 }
                                 return RootStep::Donated {
@@ -995,31 +892,6 @@ mod tests {
     }
 
     #[test]
-    fn degree_weighted_partition_agrees_and_balances() {
-        // A skewed graph: the hubs sit at the top of the ID range after
-        // degree ordering, so even splits are badly unbalanced.
-        let g = {
-            let raw = generators::rmat(11, 12_000, (0.55, 0.2, 0.2, 0.05), 7);
-            light_graph::ordered::into_degree_ordered(&raw).0
-        };
-        let cfg = EngineConfig::light();
-        let q = Query::P2.pattern();
-        let expect = serial_count(&q, &g, &cfg);
-        for partition in [InitialPartition::Even, InitialPartition::DegreeWeighted] {
-            // Static policy isolates the initial split from stealing.
-            let pr = run_query_parallel(
-                &q,
-                &g,
-                &cfg,
-                &ParallelConfig::new(4)
-                    .policy(BalancePolicy::Static)
-                    .partition(partition),
-            );
-            assert_eq!(pr.report.matches, expect, "{partition:?}");
-        }
-    }
-
-    #[test]
     fn donations_bounded_by_demand_tickets() {
         // Regression for the relaxed `idle > 0 && queue_len == 0`
         // double-read: a donor could observe stale emptiness and split its
@@ -1244,15 +1116,16 @@ mod tests {
     }
 
     #[test]
-    fn flat_kill_switch_restores_topology_blind_behavior() {
+    fn flat_topology_is_topology_blind() {
         let g = generators::barabasi_albert(400, 5, 33);
         let cfg = EngineConfig::light();
         let q = Query::Triangle.pattern();
         let expect = serial_count(&q, &g, &cfg);
-        let pr = run_query_parallel(&q, &g, &cfg, &ParallelConfig::new(4).flat_topology(true));
+        let pcfg = ParallelConfig::new(4).topology(TopologyMode::Custom(CpuTopology::flat(4)));
+        let pr = run_query_parallel(&q, &g, &cfg, &pcfg);
         assert_eq!(pr.report.matches, expect);
-        // Flat mode: no pinning, no tier accounting (total steals still
-        // counted), exactly the pre-topology scheduler.
+        // Flat topology: no pinning, no tier accounting (total steals
+        // still counted).
         assert_eq!(pr.steal_tier_totals(), [0, 0, 0, 0]);
         assert!(pr.workers.iter().all(|w| w.cpu.is_none()));
         assert!(pr.near_steal_fraction().is_none());
@@ -1300,6 +1173,41 @@ mod tests {
     }
 
     #[test]
+    fn find_task_sweeps_own_then_seeds_then_victims_in_order() {
+        let shared = Shared::new(
+            3,
+            VecDeque::from([(100, 101), (101, 102)]),
+            light_metrics::Recorder::disabled(),
+        );
+        // Worker 0 donated twice; workers 1 and 2 hold donations of their
+        // own. Worker 0's victim order puts worker 2 first.
+        shared.submit(0, (0, 1));
+        shared.submit(0, (1, 2));
+        shared.submit(1, (10, 11));
+        shared.submit(1, (11, 12));
+        shared.submit(2, (20, 21));
+        shared.submit(2, (21, 22));
+        let victims = [(2, StealTier::Llc), (1, StealTier::Remote)];
+        let sweep: Vec<_> = std::iter::from_fn(|| shared.find_task(0, &victims)).collect();
+        assert_eq!(
+            sweep,
+            [
+                // Own deque, newest first.
+                ((1, 2), None),
+                ((0, 1), None),
+                // Seed queue, FIFO; not a steal.
+                ((100, 101), None),
+                ((101, 102), None),
+                // Victims in `victims` order, each oldest first.
+                ((20, 21), Some(StealTier::Llc)),
+                ((21, 22), Some(StealTier::Llc)),
+                ((10, 11), Some(StealTier::Remote)),
+                ((11, 12), Some(StealTier::Remote)),
+            ]
+        );
+    }
+
+    #[test]
     fn tasks_cover_seeds_donations_and_splits() {
         // Task conservation: every executed task is a seed, a donation,
         // or an adaptive-granularity split of a donation.
@@ -1310,7 +1218,7 @@ mod tests {
         let pcfg = ParallelConfig::new(4).topology(TopologyMode::Custom(fake_two_node_topology()));
         let pr = run_query_parallel(&Query::P2.pattern(), &g, &EngineConfig::light(), &pcfg);
         let n = g.num_vertices() as u64;
-        let initial = (pcfg.num_threads * pcfg.initial_tasks_per_thread) as u64;
+        let initial = (pcfg.num_threads * INITIAL_TASKS_PER_THREAD) as u64;
         let chunk = n.div_ceil(initial).max(1);
         let seeds = n.div_ceil(chunk);
         let tasks: u64 = pr.workers.iter().map(|w| w.tasks).sum();

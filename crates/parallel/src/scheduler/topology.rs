@@ -87,9 +87,8 @@ impl CpuTopology {
     }
 
     /// The degenerate topology: `n` CPUs, one core, one LLC, one node.
-    /// Used both as the detection fallback and as the explicit
-    /// kill-switch (`--flat-topology` / `LIGHT_FLAT_TOPOLOGY=1`) that
-    /// restores the old topology-blind behavior.
+    /// The detection fallback; inject it with `TopologyMode::Custom` for
+    /// the topology-blind scheduler (no pinning, round-robin victims).
     pub fn flat(n: usize) -> CpuTopology {
         CpuTopology {
             slots: (0..n.max(1))

@@ -96,11 +96,6 @@ pub struct ServeConfig {
     /// Base engine configuration (variant, kernel, δ, aux-cache knobs).
     /// Per-query fields (budget, cancel, metrics) are overwritten.
     pub engine: EngineConfig,
-    /// Kill-switch: run every query with the flat (topology-blind)
-    /// scheduler — no pinning, round-robin steal victims. The CLI's
-    /// `--flat-topology` flag sets this; `LIGHT_FLAT_TOPOLOGY=1` forces
-    /// it process-wide regardless.
-    pub flat_topology: bool,
     /// Fold a mutated entry's delta overlay into a fresh base (rewriting
     /// the backing snapshot, for snapshot-loaded graphs) once it holds
     /// this many pending edges. `None` compacts only on explicit
@@ -119,7 +114,6 @@ impl Default for ServeConfig {
             idle_timeout: Some(Duration::from_secs(30)),
             mem_watermark: None,
             engine: EngineConfig::light(),
-            flat_topology: false,
             compact_threshold: Some(32_768),
         }
     }
@@ -966,10 +960,8 @@ impl QueryService {
             cfg.plan_from_stats(&pattern, &stats)
         });
 
-        let pcfg = ParallelConfig::new(threads).flat_topology(self.cfg.flat_topology);
-
         let t_exec = Instant::now();
-        let pr = run_plan_parallel(&plan, &graph, &cfg, &pcfg);
+        let pr = run_plan_parallel(&plan, &graph, &cfg, &ParallelConfig::new(threads));
         let exec_ns = t_exec.elapsed().as_nanos() as u64;
         self.metrics.exec_ns.fetch_add(exec_ns, Ordering::Relaxed);
         self.metrics.exec_done.fetch_add(1, Ordering::Relaxed);

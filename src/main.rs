@@ -182,7 +182,7 @@ USAGE:
                  [--kernel merge|merge-avx2|merge-avx512|hybrid|hybrid-avx2|hybrid-avx512]
                  [--budget <secs>] [--timeout <secs>] [--max-memory <bytes[K|M|G]>]
                  [--delta <k>] [--no-aux-cache] [--aux-threshold <f>]
-                 [--flat-topology] [--no-mmap] [--profile]
+                 [--no-mmap] [--profile]
 
   count exits 0 on a complete run, 124 on --timeout, 130 on Ctrl-C, and
   3 on a partial result (contained worker panic or --max-memory hit);
@@ -201,8 +201,6 @@ USAGE:
   --delta sets the Hybrid kernel's galloping threshold (paper: 50).
   --no-aux-cache disables the auxiliary candidate cache (DESIGN.md §11);
   --aux-threshold tunes its planner benefit threshold (default 1.5).
-  --flat-topology disables topology-aware worker placement and tiered
-  steal ordering (DESIGN.md §13); LIGHT_FLAT_TOPOLOGY=1 does the same.
   light plan     --pattern <..> (--dataset <name>|--graph <file>) [--scale <f>]
   light generate --kind ba|er|rmat|complete|grid --n <n> [--k <k>] [--m <m>]
                  [--seed <s>] --out <file>
@@ -225,7 +223,7 @@ USAGE:
                  [--max-concurrent <k>] [--queue-depth <k>]
                  [--threads <per-query>] [--timeout <secs>|none]
                  [--drain-grace <secs>] [--idle-timeout <secs>|none]
-                 [--mem-watermark <MiB>] [--flat-topology] [--no-mmap]
+                 [--mem-watermark <MiB>] [--no-mmap]
                  [--compact-threshold <edges>]
                  [engine options as for count]
 
@@ -275,13 +273,7 @@ USAGE:
 type Opts = HashMap<String, String>;
 
 /// Options that are boolean flags: present or absent, no value operand.
-const FLAG_OPTS: &[&str] = &[
-    "profile",
-    "no-aux-cache",
-    "flat-topology",
-    "no-mmap",
-    "compact",
-];
+const FLAG_OPTS: &[&str] = &["profile", "no-aux-cache", "no-mmap", "compact"];
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut out = HashMap::new();
@@ -479,8 +471,7 @@ fn cmd_count(opts: &Opts) -> Result<ExitCode, String> {
     // thread) so the scheduler/worker section of the profile is populated.
     let (report, failures) = if threads > 1 || profile {
         light::core::validate_query(&pattern, g.num_vertices()).map_err(|e| e.to_string())?;
-        let pcfg = ParallelConfig::new(threads).flat_topology(opts.contains_key("flat-topology"));
-        let pr = run_query_parallel(&pattern, &g, &cfg, &pcfg);
+        let pr = run_query_parallel(&pattern, &g, &cfg, &ParallelConfig::new(threads));
         (pr.report, pr.failures)
     } else {
         let report = run_query_checked(&pattern, &g, &cfg).map_err(|e| e.to_string())?;
@@ -828,7 +819,6 @@ fn cmd_serve(opts: &Opts) -> Result<ExitCode, String> {
         drain_grace,
         idle_timeout,
         mem_watermark,
-        flat_topology: opts.contains_key("flat-topology"),
         // --compact-threshold 0 disables automatic overlay compaction
         // (explicit {"op":"update","compact":true} still works).
         compact_threshold: match parse_usize("compact-threshold", 32_768)? {

@@ -93,7 +93,6 @@ fn service() -> Arc<QueryService> {
             drain_grace: Duration::from_secs(10),
             idle_timeout: Some(Duration::from_secs(30)),
             mem_watermark: None,
-            flat_topology: false,
             compact_threshold: Some(32_768),
             engine: EngineConfig::light(),
         },

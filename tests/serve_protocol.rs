@@ -110,7 +110,6 @@ fn overload_rejections_are_typed_and_bounded() {
             drain_grace: Duration::from_secs(5),
             idle_timeout: Some(Duration::from_secs(30)),
             mem_watermark: None,
-            flat_topology: false,
             compact_threshold: Some(32_768),
             engine: EngineConfig::light(),
         },

@@ -57,7 +57,6 @@ fn service(idle_timeout: Option<Duration>) -> Arc<QueryService> {
             drain_grace: Duration::from_secs(10),
             idle_timeout,
             mem_watermark: None,
-            flat_topology: false,
             compact_threshold: Some(32_768),
             engine: EngineConfig::light(),
         },

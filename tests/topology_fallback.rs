@@ -1,9 +1,7 @@
-//! Topology fallback coverage (ISSUE 6, satellite): the scheduler must
-//! produce identical counts and sane stats whether the CPU hierarchy is
-//! detected, fabricated, absent (`/sys` masked — containers), or refused
-//! by the kernel (affinity syscalls failing). The CI feature matrix runs
-//! this file with `LIGHT_FLAT_TOPOLOGY=1` as well, pinning the
-//! kill-switch path.
+//! Topology fallback coverage: the scheduler must produce identical
+//! counts and sane stats whether the CPU hierarchy is detected,
+//! fabricated, absent (`/sys` masked — containers), or refused by the
+//! kernel (affinity syscalls failing).
 
 use std::path::Path;
 
@@ -94,7 +92,7 @@ fn all_topology_modes_agree_with_serial() {
     );
     for (name, mode) in [
         ("auto", TopologyMode::Auto),
-        ("flat", TopologyMode::Flat),
+        ("flat", TopologyMode::Custom(CpuTopology::flat(4))),
         ("custom", TopologyMode::Custom(fabricated)),
     ] {
         let pr = run_query_parallel(
