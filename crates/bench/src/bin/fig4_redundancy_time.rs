@@ -64,7 +64,7 @@ fn main() {
                 if r.outcome == Outcome::Complete {
                     matches = Some(r.matches);
                 }
-                if r.outcome == Outcome::Complete && light_metrics::ENABLED {
+                if r.outcome == Outcome::Complete {
                     split_rows.push((format!("{} on {}", q.name(), d.name()), v, rec.summary()));
                 }
             }

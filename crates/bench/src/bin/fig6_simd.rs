@@ -70,7 +70,7 @@ fn main() {
                 // The recorder's dispatch-layer view for the best hybrid
                 // kind: which tier actually ran, how often Galloping won,
                 // and the operand-length profile driving both.
-                if kind == IntersectKind::best_available() && light_metrics::ENABLED {
+                if kind == IntersectKind::best_available() {
                     let sm = rec.summary();
                     let calls: u64 = sm.tier_calls.iter().sum();
                     let gall: u64 = sm.tier_galloping.iter().sum();

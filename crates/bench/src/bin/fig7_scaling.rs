@@ -158,32 +158,28 @@ fn main() {
     let rec = light_metrics::Recorder::new();
     let cfg = EngineConfig::light().budget(tb).metrics(rec.clone());
     run_query_parallel(&q, &g, &cfg, &ParallelConfig::new(8));
-    if light_metrics::ENABLED {
-        let sm = rec.summary();
-        let mean_q = if sm.queue_residency_count > 0 {
-            sm.queue_residency_sum as f64 / sm.queue_residency_count as f64
-        } else {
-            0.0
-        };
-        println!(
-            "  8-worker run: {} COMP calls, mean queue residency {mean_q:.1}",
-            sm.comp_calls
-        );
-        for w in &sm.workers {
-            println!(
-                "    worker {}: {} tasks, {} steals, {} parks ({:.1}ms parked), \
-                 {} tickets, {} donations",
-                w.worker,
-                w.tasks,
-                w.steals,
-                w.parks,
-                w.parked_nanos as f64 / 1e6,
-                w.tickets,
-                w.donations
-            );
-        }
+    let sm = rec.summary();
+    let mean_q = if sm.queue_residency_count > 0 {
+        sm.queue_residency_sum as f64 / sm.queue_residency_count as f64
     } else {
-        println!("  (metrics feature disabled — recorder sections empty)");
+        0.0
+    };
+    println!(
+        "  8-worker run: {} COMP calls, mean queue residency {mean_q:.1}",
+        sm.comp_calls
+    );
+    for w in &sm.workers {
+        println!(
+            "    worker {}: {} tasks, {} steals, {} parks ({:.1}ms parked), \
+             {} tickets, {} donations",
+            w.worker,
+            w.tasks,
+            w.steals,
+            w.parks,
+            w.parked_nanos as f64 / 1e6,
+            w.tickets,
+            w.donations
+        );
     }
 
     println!("\npaper shape: near-linear to 16 threads on 20 cores, up to 25x at 64 threads");

@@ -7,7 +7,6 @@
 //!
 //! | leg | what it measures |
 //! |---|---|
-//! | `heap-v1` | v1 snapshot, streaming heap decode (the old path) |
 //! | `heap-v2` | v2 snapshot decoded onto the heap (`--no-mmap`) |
 //! | `mmap-open` | v2 zero-copy open: header + offsets check only |
 //! | `mmap-touch` | v2 zero-copy open, then every CSR byte touched |
@@ -25,7 +24,7 @@ use std::time::Instant;
 
 use light_bench as bench;
 use light_bench::BenchRow;
-use light_graph::io::{load_snapshot, map_snapshot, save_snapshot, save_snapshot_v2};
+use light_graph::io::{load_snapshot, map_snapshot, save_snapshot_v2};
 use light_graph::CsrGraph;
 
 /// Peak resident set (`VmHWM`) in kilobytes; 0 where /proc is absent.
@@ -63,7 +62,7 @@ fn checksum(g: &CsrGraph) -> u64 {
 fn run_leg(leg: &str, path: &str) {
     let t0 = Instant::now();
     let g = match leg {
-        "heap-v1" | "heap-v2" => load_snapshot(path).expect("heap load"),
+        "heap-v2" => load_snapshot(path).expect("heap load"),
         "mmap-open" | "mmap-touch" => map_snapshot(path).expect("mmap open"),
         other => panic!("unknown leg {other:?}"),
     };
@@ -135,9 +134,7 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("light_snapload_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let v1 = dir.join("g.v1");
     let v2 = dir.join("g.v2");
-    save_snapshot(&g, &v1).unwrap();
     save_snapshot_v2(&g, &v2).unwrap();
     let payload = g.memory_bytes() as u64;
     let disk_v2 = std::fs::metadata(&v2).unwrap().len();
@@ -149,12 +146,7 @@ fn main() {
     );
 
     let exe = std::env::current_exe().unwrap();
-    let legs: &[(&str, &PathBuf)] = &[
-        ("heap-v1", &v1),
-        ("heap-v2", &v2),
-        ("mmap-open", &v2),
-        ("mmap-touch", &v2),
-    ];
+    let legs: &[(&str, &PathBuf)] = &[("heap-v2", &v2), ("mmap-open", &v2), ("mmap-touch", &v2)];
     let mut rows = Vec::new();
     let mut results = Vec::new();
     let mut table = bench::TablePrinter::new(&["leg", "backend", "load ms", "peak RSS KiB"]);

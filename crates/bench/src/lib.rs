@@ -75,7 +75,8 @@ pub fn dataset_cache_dir() -> std::path::PathBuf {
 }
 
 /// Build (and memoize on disk under [`dataset_cache_dir`]) a dataset at a
-/// scale — repeated harness runs skip regeneration.
+/// scale — repeated harness runs skip regeneration. The cache is written
+/// as a v2 snapshot; a v1 cache left by an older build still loads.
 ///
 /// A missing cache file is the normal first-run case and rebuilds
 /// silently. Any *other* load failure (truncated snapshot, bad magic,
@@ -105,7 +106,7 @@ pub fn try_dataset(d: Dataset, s: f64) -> Result<CsrGraph, String> {
         }
     }
     let g = d.build_scaled(s);
-    light_graph::io::save_snapshot(&g, &path)
+    light_graph::io::save_snapshot_v2(&g, &path)
         .map_err(|e| format!("cannot write dataset cache {}: {e}", path.display()))?;
     Ok(g)
 }
@@ -170,8 +171,7 @@ pub struct BenchRow {
 }
 
 /// The standard recorder splits for a [`BenchRow`]: per-stage estimated
-/// time, call counts, and auxiliary-cache counters. All-zero entries when
-/// the `metrics` feature is off.
+/// time, call counts, and auxiliary-cache counters.
 pub fn recorder_splits(s: &light_metrics::Summary) -> Vec<(String, f64)> {
     let aux_total = s.aux_hits + s.aux_misses;
     vec![
@@ -220,9 +220,8 @@ pub fn emit_bench_to(
     let path = dir.join(format!("BENCH_{name}.json"));
     let mut out = String::new();
     out.push_str(&format!(
-        "{{\n  \"bench\": \"{}\",\n  \"metrics_enabled\": {},\n  \"rows\": [",
-        json_escape(name),
-        light_metrics::ENABLED
+        "{{\n  \"bench\": \"{}\",\n  \"rows\": [",
+        json_escape(name)
     ));
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {

@@ -95,8 +95,8 @@ pub struct EngineConfig {
     pub max_memory_bytes: Option<usize>,
     /// Metrics sink: attach a live [`light_metrics::Recorder`] to collect
     /// per-slot COMP/MAT counters, candidate histograms, and setops tier
-    /// breakdowns. Disabled by default; inert unless the `metrics` feature
-    /// is compiled in AND a live recorder is attached.
+    /// breakdowns. Disabled by default; inert unless a live recorder is
+    /// attached.
     pub metrics: light_metrics::Recorder,
 }
 

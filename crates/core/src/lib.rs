@@ -37,7 +37,6 @@ pub mod config;
 pub mod delta_count;
 pub mod engine;
 pub mod error;
-pub mod iter;
 pub mod pool;
 pub mod reference;
 pub mod report;
@@ -49,7 +48,6 @@ pub use config::{EngineConfig, EngineVariant};
 pub use delta_count::{automorphism_count, count_raw_through, raw_delta};
 pub use engine::Enumerator;
 pub use error::{validate_query, EnumError, QueryError};
-pub use iter::MatchIter;
 pub use pool::{BufferPool, PoolStats};
 pub use report::{AuxStats, EnumStats, Outcome, Report};
 pub use visitor::{CollectVisitor, CountVisitor, FirstKVisitor, MatchVisitor};

@@ -81,7 +81,9 @@ impl FirstKVisitor {
 
 impl MatchVisitor for FirstKVisitor {
     fn on_match(&mut self, phi: &[VertexId]) -> ControlFlow<()> {
-        self.matches.push(phi.to_vec());
+        if (self.matches.len() as u64) < self.k {
+            self.matches.push(phi.to_vec());
+        }
         if self.matches.len() as u64 >= self.k {
             ControlFlow::Break(())
         } else {
@@ -126,6 +128,10 @@ mod tests {
         assert_eq!(v.on_match(&[0]), ControlFlow::Continue(()));
         assert_eq!(v.on_match(&[1]), ControlFlow::Break(()));
         assert_eq!(v.matches().len(), 2);
+
+        let mut none = FirstKVisitor::new(0);
+        assert_eq!(none.on_match(&[0]), ControlFlow::Break(()));
+        assert!(none.matches().is_empty());
     }
 
     #[test]

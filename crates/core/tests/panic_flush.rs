@@ -7,11 +7,10 @@
 //! in place, so the unwind path (recover_after_panic, or Drop) still
 //! flushes everything recorded before the panic.
 //!
-//! Needs both features: `metrics` (a live shard) and `failpoint` (the
-//! `engine::intersect` site to panic from). Run with
-//! `cargo test -p light-core --features "metrics failpoint"`.
+//! Needs the `failpoint` feature (the `engine::intersect` site to panic
+//! from). Run with `cargo test -p light-core --features failpoint`.
 
-#![cfg(all(feature = "metrics", feature = "failpoint"))]
+#![cfg(feature = "failpoint")]
 
 use light_core::{CountVisitor, EngineConfig, Enumerator};
 use light_failpoint as failpoint;

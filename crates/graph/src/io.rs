@@ -5,15 +5,16 @@
 //! they become available. The binary snapshots serialize the CSR arrays:
 //!
 //! * **v1** — the compact layout (`LIGHTCSR` + version 1): a 28-byte
-//!   header, per-vertex *degrees*, then neighbors. Decoding rebuilds the
-//!   offset array on the heap.
+//!   header, per-vertex *degrees*, then neighbors. Read-only: no writer
+//!   here emits it, and decoding rebuilds the offset array on the heap.
+//!   `light convert` upgrades a v1 file to v2.
 //! * **v2** — the out-of-core layout (version 2, DESIGN.md §14): a 64-byte
 //!   header followed by the raw offset and neighbor arrays, each placed at
 //!   a page-aligned (and therefore 64-byte-aligned) file offset in
 //!   little-endian machine layout. A v2 file can be **mmap'd and used in
 //!   place** ([`map_snapshot`]) — zero-copy open, resident set tracks what
-//!   queries touch — or decoded onto the heap like v1 ([`from_snapshot`]
-//!   handles both versions).
+//!   queries touch — or decoded onto the heap ([`from_snapshot`] handles
+//!   both versions). Every writer here emits v2.
 //!
 //! ## Robustness contract
 //!
@@ -51,8 +52,6 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::mmap::Mmap;
@@ -60,8 +59,8 @@ use crate::types::VertexId;
 
 /// Magic bytes identifying the binary snapshot format.
 const MAGIC: &[u8; 8] = b"LIGHTCSR";
-/// Snapshot format version (compact degree-list layout).
-const VERSION: u32 = 1;
+/// Snapshot format version (compact degree-list layout; read-only).
+const VERSION_V1: u32 = 1;
 /// Snapshot format version (page-aligned mmap-able layout).
 const VERSION_V2: u32 = 2;
 /// v2 header length in bytes (fixed; the arrays start beyond it at
@@ -294,30 +293,7 @@ pub fn write_edge_list<W: Write>(g: &CsrGraph, w: W) -> io::Result<()> {
     w.flush()
 }
 
-/// Serialize to the binary snapshot format.
-pub fn to_snapshot(g: &CsrGraph) -> Bytes {
-    let n = g.num_vertices();
-    let mut buf = BytesMut::with_capacity(24 + (n + 1) * 8 + g.num_edges() * 8);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(n as u64);
-    let mut directed = 0u64;
-    for v in g.vertices() {
-        directed += g.degree(v) as u64;
-    }
-    buf.put_u64_le(directed);
-    for v in g.vertices() {
-        buf.put_u64_le(g.degree(v) as u64);
-    }
-    for v in g.vertices() {
-        for &u in g.neighbors(v) {
-            buf.put_u32_le(u);
-        }
-    }
-    buf.freeze()
-}
-
-/// Deserialize a binary snapshot produced by [`to_snapshot`] or
+/// Deserialize a binary snapshot: a v1 file or one produced by
 /// [`to_snapshot_v2`] — the version word picks the decoder; both paths
 /// produce a heap-backed graph.
 ///
@@ -325,19 +301,19 @@ pub fn to_snapshot(g: &CsrGraph) -> Bytes {
 /// with checked arithmetic and verified against the actual byte count
 /// *before* any allocation, so a corrupt header cannot trigger an
 /// overflow panic or a multi-gigabyte allocation.
-pub fn from_snapshot(data: Bytes) -> Result<CsrGraph, GraphIoError> {
-    if data.remaining() < 12 {
+pub fn from_snapshot(data: &[u8]) -> Result<CsrGraph, GraphIoError> {
+    if data.len() < 12 {
         return Err(GraphIoError::SnapshotTruncated {
             expected: 28,
-            got: data.remaining() as u64,
+            got: data.len() as u64,
         });
     }
     if &data[..8] != MAGIC {
         return Err(GraphIoError::SnapshotInvalid("bad magic".into()));
     }
     match u32::from_le_bytes(data[8..12].try_into().unwrap()) {
-        VERSION => from_snapshot_v1(data),
-        VERSION_V2 => from_snapshot_v2(&data),
+        VERSION_V1 => from_snapshot_v1(data),
+        VERSION_V2 => from_snapshot_v2(data),
         version => Err(GraphIoError::SnapshotInvalid(format!(
             "unsupported version {version}"
         ))),
@@ -346,17 +322,18 @@ pub fn from_snapshot(data: Bytes) -> Result<CsrGraph, GraphIoError> {
 
 /// Decode the v1 (compact degree-list) body. `data` still includes the
 /// magic and version words, which were validated by [`from_snapshot`].
-fn from_snapshot_v1(mut data: Bytes) -> Result<CsrGraph, GraphIoError> {
+fn from_snapshot_v1(data: &[u8]) -> Result<CsrGraph, GraphIoError> {
     let bad = |msg: String| GraphIoError::SnapshotInvalid(msg);
-    if data.remaining() < 28 {
+    if data.len() < 28 {
         return Err(GraphIoError::SnapshotTruncated {
             expected: 28,
-            got: data.remaining() as u64,
+            got: data.len() as u64,
         });
     }
-    data.advance(12); // magic + version, already checked
-    let n = data.get_u64_le();
-    let directed = data.get_u64_le();
+    let u64_at = |i: usize| u64::from_le_bytes(data[i..i + 8].try_into().unwrap());
+    let n = u64_at(12);
+    let directed = u64_at(20);
+    let body = &data[28..];
     // Checked: a corrupt header with n or directed near u64::MAX must not
     // wrap the size computation into a small number (debug panic or, in
     // release, a bogus bounds check followed by huge allocations).
@@ -365,21 +342,22 @@ fn from_snapshot_v1(mut data: Bytes) -> Result<CsrGraph, GraphIoError> {
         .and_then(|deg| directed.checked_mul(4).map(|nbr| (deg, nbr)))
         .and_then(|(deg, nbr)| deg.checked_add(nbr))
         .ok_or_else(|| bad(format!("header overflows: n={n}, directed={directed}")))?;
-    if (data.remaining() as u64) < need {
+    if (body.len() as u64) < need {
         return Err(GraphIoError::SnapshotTruncated {
             expected: need + 28,
-            got: data.remaining() as u64 + 28,
+            got: data.len() as u64,
         });
     }
     // The bounds check above caps n and directed by the actual payload
     // size, so these capacities are trustworthy.
     let (n, directed) = (n as usize, directed as usize);
+    let (degrees, body) = body.split_at(n * 8);
     let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0u64);
     let mut acc = 0u64;
-    for _ in 0..n {
+    for d in degrees.chunks_exact(8) {
         acc = acc
-            .checked_add(data.get_u64_le())
+            .checked_add(u64::from_le_bytes(d.try_into().unwrap()))
             .ok_or_else(|| bad("degree sum overflows u64".into()))?;
         offsets.push(acc);
     }
@@ -388,10 +366,10 @@ fn from_snapshot_v1(mut data: Bytes) -> Result<CsrGraph, GraphIoError> {
             "degree sum {acc} does not match directed edge count {directed}"
         )));
     }
-    let mut neighbors = Vec::with_capacity(directed);
-    for _ in 0..directed {
-        neighbors.push(data.get_u32_le());
-    }
+    let neighbors = body[..directed * 4]
+        .chunks_exact(4)
+        .map(|b| VertexId::from_le_bytes(b.try_into().unwrap()))
+        .collect();
     let g = CsrGraph::from_parts(offsets, neighbors);
     g.validate().map_err(bad)?;
     Ok(g)
@@ -721,11 +699,6 @@ fn write_atomic(path: &Path, data: &[u8]) -> io::Result<()> {
     result
 }
 
-/// Save a v1 binary snapshot to disk (atomic temp-file + rename).
-pub fn save_snapshot(g: &CsrGraph, path: impl AsRef<Path>) -> io::Result<()> {
-    write_atomic(path.as_ref(), &to_snapshot(g))
-}
-
 /// Save a v2 (mmap-able) snapshot to disk (atomic temp-file + rename).
 pub fn save_snapshot_v2(g: &CsrGraph, path: impl AsRef<Path>) -> io::Result<()> {
     write_atomic(path.as_ref(), &to_snapshot_v2(g))
@@ -733,13 +706,13 @@ pub fn save_snapshot_v2(g: &CsrGraph, path: impl AsRef<Path>) -> io::Result<()> 
 
 /// Load a binary snapshot (either version) from disk onto the heap.
 pub fn load_snapshot(path: impl AsRef<Path>) -> Result<CsrGraph, GraphIoError> {
-    from_snapshot(Bytes::from(std::fs::read(path)?))
+    from_snapshot(&std::fs::read(path)?)
 }
 
 /// The on-disk format [`load_any`] detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphFormat {
-    /// `LIGHTCSR` binary snapshot ([`to_snapshot`]).
+    /// `LIGHTCSR` binary snapshot ([`to_snapshot_v2`], or a legacy v1 file).
     Snapshot,
     /// SNAP-style text edge list ([`read_edge_list`]).
     EdgeList,
@@ -820,7 +793,7 @@ pub fn open_any(
             } else {
                 let mut data = prefix[..got].to_vec();
                 f.read_to_end(&mut data)?;
-                from_snapshot(Bytes::from(data))?
+                from_snapshot(&data)?
             };
             Ok((g, GraphFormat::Snapshot))
         }
@@ -835,6 +808,22 @@ pub fn open_any(
 mod tests {
     use super::*;
     use crate::generators;
+
+    /// The v1 layout, encoded here only to keep the read path covered.
+    fn to_snapshot_v1(g: &CsrGraph) -> Vec<u8> {
+        let degrees: Vec<u64> = g.vertices().map(|v| g.degree(v) as u64).collect();
+        let mut buf = MAGIC.to_vec();
+        buf.extend(VERSION_V1.to_le_bytes());
+        buf.extend((degrees.len() as u64).to_le_bytes());
+        buf.extend(degrees.iter().sum::<u64>().to_le_bytes());
+        buf.extend(degrees.iter().flat_map(|d| d.to_le_bytes()));
+        buf.extend(
+            g.vertices()
+                .flat_map(|v| g.neighbors(v))
+                .flat_map(|u| u.to_le_bytes()),
+        );
+        buf
+    }
 
     #[test]
     fn edge_list_roundtrip() {
@@ -905,31 +894,30 @@ mod tests {
     #[test]
     fn snapshot_roundtrip() {
         let g = generators::barabasi_albert(200, 3, 11);
-        let h = from_snapshot(to_snapshot(&g)).unwrap();
+        let h = from_snapshot(&to_snapshot_v1(&g)).unwrap();
         assert_eq!(g, h);
     }
 
     #[test]
     fn snapshot_rejects_corruption() {
         let g = generators::complete(5);
-        let snap = to_snapshot(&g);
-        assert!(from_snapshot(snap.slice(0..10)).is_err());
-        let mut corrupted = snap.to_vec();
+        let snap = to_snapshot_v1(&g);
+        assert!(from_snapshot(&snap[..10]).is_err());
+        let mut corrupted = snap;
         corrupted[0] = b'X';
-        assert!(from_snapshot(Bytes::from(corrupted)).is_err());
+        assert!(from_snapshot(&corrupted).is_err());
     }
 
     #[test]
     fn snapshot_rejects_overflowing_header() {
         // n * 8 used to wrap: u64::MAX vertices passed the bounds check in
         // release builds and panicked the debug ones.
-        let mut buf = BytesMut::with_capacity(36);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(u64::MAX); // n
-        buf.put_u64_le(u64::MAX); // directed
-        buf.put_u64_le(0);
-        match from_snapshot(buf.freeze()) {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&VERSION_V1.to_le_bytes());
+        buf.extend_from_slice(&u64::MAX.to_le_bytes()); // n
+        buf.extend_from_slice(&u64::MAX.to_le_bytes()); // directed
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        match from_snapshot(&buf) {
             Err(GraphIoError::SnapshotInvalid(msg)) => {
                 assert!(msg.contains("overflows"), "{msg}")
             }
@@ -940,9 +928,8 @@ mod tests {
     #[test]
     fn snapshot_truncation_reports_sizes() {
         let g = generators::complete(5);
-        let snap = to_snapshot(&g);
-        let cut = snap.slice(0..snap.len() - 3);
-        match from_snapshot(cut) {
+        let snap = to_snapshot_v1(&g);
+        match from_snapshot(&snap[..snap.len() - 3]) {
             Err(GraphIoError::SnapshotTruncated { expected, got }) => {
                 assert!(got < expected);
             }
@@ -966,7 +953,7 @@ mod tests {
         let text = dir.join("g.txt");
         let bin = dir.join("g.bin");
         write_edge_list(&g, std::fs::File::create(&text).unwrap()).unwrap();
-        save_snapshot(&g, &bin).unwrap();
+        std::fs::write(&bin, to_snapshot_v1(&g)).unwrap();
 
         let (gt, ft) = load_any(&text).unwrap();
         let (gb, fb) = load_any(&bin).unwrap();
@@ -997,7 +984,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("trunc.bin");
         let g = generators::complete(6);
-        let snap = to_snapshot(&g);
+        let snap = to_snapshot_v1(&g);
         std::fs::write(&p, &snap[..snap.len() - 2]).unwrap();
         assert!(matches!(
             load_any(&p),
@@ -1012,7 +999,7 @@ mod tests {
         let dir = std::env::temp_dir().join("light_graph_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("c10.bin");
-        save_snapshot(&g, &p).unwrap();
+        save_snapshot_v2(&g, &p).unwrap();
         assert_eq!(load_snapshot(&p).unwrap(), g);
         std::fs::remove_file(&p).ok();
     }
@@ -1041,11 +1028,11 @@ mod tests {
     #[test]
     fn snapshot_v2_heap_roundtrip() {
         let g = generators::barabasi_albert(200, 3, 11);
-        let h = from_snapshot(Bytes::from(to_snapshot_v2(&g))).unwrap();
+        let h = from_snapshot(&to_snapshot_v2(&g)).unwrap();
         assert_eq!(g, h);
         // Empty graph round-trips too.
         let e = CsrGraph::from_parts(vec![0], vec![]);
-        assert_eq!(from_snapshot(Bytes::from(to_snapshot_v2(&e))).unwrap(), e);
+        assert_eq!(from_snapshot(&to_snapshot_v2(&e)).unwrap(), e);
     }
 
     #[test]
@@ -1081,7 +1068,7 @@ mod tests {
         for cut in [7, 11, 40, 63, 64, 4100, 8200, bytes.len() - 1] {
             let cut = cut.min(bytes.len() - 1);
             assert!(
-                from_snapshot(Bytes::from(bytes[..cut].to_vec())).is_err(),
+                from_snapshot(&bytes[..cut]).is_err(),
                 "heap decode accepted a {cut}-byte truncation"
             );
             let p = dir.join(format!("cut{cut}.v2"));
@@ -1107,7 +1094,7 @@ mod tests {
         let mut b = base.clone();
         b[12] = 0xff;
         assert!(matches!(
-            from_snapshot(Bytes::from(b)),
+            from_snapshot(&b),
             Err(GraphIoError::SnapshotInvalid(_))
         ));
 
@@ -1115,7 +1102,7 @@ mod tests {
         let mut b = base.clone();
         b[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
         b[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
-        match from_snapshot(Bytes::from(b)) {
+        match from_snapshot(&b) {
             Err(GraphIoError::SnapshotInvalid(msg)) => assert!(msg.contains("overflows"), "{msg}"),
             other => panic!("expected SnapshotInvalid, got {other:?}"),
         }
@@ -1124,7 +1111,7 @@ mod tests {
         let mut b = base.clone();
         b[32..40].copy_from_slice(&4097u64.to_le_bytes());
         assert!(matches!(
-            from_snapshot(Bytes::from(b)),
+            from_snapshot(&b),
             Err(GraphIoError::SnapshotInvalid(_))
         ));
 
@@ -1133,14 +1120,14 @@ mod tests {
         let total = u64::from_le_bytes(base[48..56].try_into().unwrap());
         b[48..56].copy_from_slice(&(total + 64).to_le_bytes());
         assert!(matches!(
-            from_snapshot(Bytes::from(b)),
+            from_snapshot(&b),
             Err(GraphIoError::SnapshotInvalid(_))
         ));
 
         // Non-monotone offsets (first data offset made huge).
         let mut b = base;
         b[4096 + 8..4096 + 16].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(from_snapshot(Bytes::from(b)).is_err());
+        assert!(from_snapshot(&b).is_err());
     }
 
     #[test]
@@ -1149,7 +1136,7 @@ mod tests {
         let dir = v2dir("open_any");
         let v1 = dir.join("g.v1");
         let v2 = dir.join("g.v2");
-        save_snapshot(&g, &v1).unwrap();
+        std::fs::write(&v1, to_snapshot_v1(&g)).unwrap();
         save_snapshot_v2(&g, &v2).unwrap();
 
         let (g1, f1) = open_any(&v1, true).unwrap();
@@ -1175,7 +1162,7 @@ mod tests {
         let g = generators::cycle(12);
         let dir = v2dir("atomic");
         let p = dir.join("g.bin");
-        save_snapshot(&g, &p).unwrap();
+        save_snapshot_v2(&g, &p).unwrap();
         save_snapshot_v2(&g, &p).unwrap(); // overwrite in place is fine
         assert_eq!(load_snapshot(&p).unwrap(), g);
         let leftovers: Vec<_> = std::fs::read_dir(&dir)

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use light_graph::builder::from_edges;
 use light_graph::delta::DeltaGraph;
-use light_graph::io::{from_snapshot, read_edge_list, to_snapshot, write_edge_list};
+use light_graph::io::{from_snapshot, read_edge_list, to_snapshot_v2, write_edge_list};
 use light_graph::ordered::{into_degree_ordered, is_degree_ordered};
 use light_graph::stats::{compute_stats, count_triangles, degree_histogram};
 
@@ -103,7 +103,7 @@ proptest! {
     #[test]
     fn snapshot_roundtrip(edges in edge_list()) {
         let g = from_edges(edges);
-        let g2 = from_snapshot(to_snapshot(&g)).unwrap();
+        let g2 = from_snapshot(&to_snapshot_v2(&g)).unwrap();
         prop_assert_eq!(g, g2);
     }
 

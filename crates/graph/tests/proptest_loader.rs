@@ -16,7 +16,8 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use light_graph::builder::from_edges;
-use light_graph::io::{from_snapshot, read_edge_list, to_snapshot, to_snapshot_v2, GraphIoError};
+use light_graph::csr::CsrGraph;
+use light_graph::io::{from_snapshot, read_edge_list, to_snapshot_v2, GraphIoError};
 
 /// One token of edge-list "soup": usually a digit run, sometimes a comment
 /// marker, a malformed number, or raw (possibly non-UTF-8) noise.
@@ -63,6 +64,24 @@ fn small_edges() -> impl Strategy<Value = Vec<(u32, u32)>> {
     proptest::collection::vec((0u32..48, 0u32..48), 0..100)
 }
 
+/// The legacy v1 layout (`LIGHTCSR`, version 1, n, directed, degrees,
+/// neighbors). The library reads it but has no writer for it, so the v1
+/// cases below feed the decoder from here.
+fn forge_v1(g: &CsrGraph) -> Vec<u8> {
+    let degrees: Vec<u64> = g.vertices().map(|v| g.degree(v) as u64).collect();
+    let mut buf = b"LIGHTCSR".to_vec();
+    buf.extend(1u32.to_le_bytes());
+    buf.extend((degrees.len() as u64).to_le_bytes());
+    buf.extend(degrees.iter().sum::<u64>().to_le_bytes());
+    buf.extend(degrees.iter().flat_map(|d| d.to_le_bytes()));
+    buf.extend(
+        g.vertices()
+            .flat_map(|v| g.neighbors(v))
+            .flat_map(|u| u.to_le_bytes()),
+    );
+    buf
+}
+
 proptest! {
     #[test]
     fn edge_list_never_panics_on_soup(bytes in edge_list_soup()) {
@@ -92,9 +111,8 @@ proptest! {
 
     #[test]
     fn snapshot_never_panics_on_truncation(edges in small_edges(), keep in 0usize..4096) {
-        let snap = to_snapshot(&from_edges(edges));
-        let cut = snap.slice(0..keep.min(snap.len()));
-        if from_snapshot(cut).is_ok() {
+        let snap = forge_v1(&from_edges(edges));
+        if from_snapshot(&snap[..keep.min(snap.len())]).is_ok() {
             // Only a full-length slice may load.
             prop_assert!(keep >= snap.len());
         }
@@ -105,7 +123,7 @@ proptest! {
         edges in small_edges(),
         flips in proptest::collection::vec((0usize..4096, 0u8..=255u8), 1..8),
     ) {
-        let mut bytes = to_snapshot(&from_edges(edges)).to_vec();
+        let mut bytes = forge_v1(&from_edges(edges));
         if bytes.is_empty() {
             return Ok(());
         }
@@ -117,14 +135,14 @@ proptest! {
         // yields a *valid* CSR (e.g. an XOR that cancels out or flips a
         // neighbor id while keeping sortedness) — never a panic, never an
         // allocation past the payload size.
-        if let Ok(g) = from_snapshot(bytes::Bytes::from(bytes)) {
+        if let Ok(g) = from_snapshot(&bytes) {
             prop_assert!(g.validate().is_ok());
         }
     }
 
     #[test]
     fn snapshot_never_panics_on_raw_bytes(bytes in raw_bytes(256)) {
-        let _ = from_snapshot(bytes::Bytes::from(bytes));
+        let _ = from_snapshot(&bytes);
     }
 
     // ---- LIGHTCSR v2 mirrors of the cases above. The v2 layout has more
@@ -134,7 +152,7 @@ proptest! {
     #[test]
     fn snapshot_v2_roundtrips(edges in small_edges()) {
         let g = from_edges(edges);
-        let back = from_snapshot(bytes::Bytes::from(to_snapshot_v2(&g)))
+        let back = from_snapshot(&to_snapshot_v2(&g))
             .map_err(|e| TestCaseError::fail(format!("v2 roundtrip rejected: {e}")))?;
         prop_assert_eq!(back, g);
     }
@@ -143,7 +161,7 @@ proptest! {
     fn snapshot_v2_never_panics_on_truncation(edges in small_edges(), keep in 0usize..16384) {
         let snap = to_snapshot_v2(&from_edges(edges));
         let cut = keep.min(snap.len());
-        if from_snapshot(bytes::Bytes::from(snap[..cut].to_vec())).is_ok() {
+        if from_snapshot(&snap[..cut]).is_ok() {
             // Only a full-length slice may load.
             prop_assert!(cut >= snap.len());
         }
@@ -161,7 +179,7 @@ proptest! {
         }
         // Same contract as v1: structural rejection or a still-valid CSR,
         // never a panic and never an allocation past the payload size.
-        if let Ok(g) = from_snapshot(bytes::Bytes::from(bytes)) {
+        if let Ok(g) = from_snapshot(&bytes) {
             prop_assert!(g.validate().is_ok());
         }
     }
@@ -178,7 +196,7 @@ proptest! {
         // combination without panicking or over-allocating.
         let mut bytes = to_snapshot_v2(&from_edges(edges));
         bytes[8 + field * 8..16 + field * 8].copy_from_slice(&value.to_le_bytes());
-        if let Ok(g) = from_snapshot(bytes::Bytes::from(bytes)) {
+        if let Ok(g) = from_snapshot(&bytes) {
             prop_assert!(g.validate().is_ok());
         }
     }

@@ -97,7 +97,7 @@ proptest! {
 
 /// A hand-forged v1 snapshot whose adjacency carries `neighbors`, with
 /// `degrees` per vertex. Lets the test inject dups and self-loops that
-/// `to_snapshot` (writing from a normalized graph) never produces.
+/// no writer (they all start from a normalized graph) produces.
 fn forge_v1(degrees: &[u64], neighbors: &[u32]) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(b"LIGHTCSR");
@@ -117,22 +117,22 @@ fn forge_v1(degrees: &[u64], neighbors: &[u32]) -> Vec<u8> {
 fn heap_snapshot_decoder_rejects_unnormalized_adjacency() {
     // Duplicate neighbor: vertex 0 lists vertex 1 twice.
     let dup = forge_v1(&[2, 2], &[1, 1, 0, 0]);
-    let err = from_snapshot(bytes::Bytes::from(dup)).unwrap_err();
+    let err = from_snapshot(&dup).unwrap_err();
     assert!(err.to_string().contains("strictly sorted"), "{err}");
 
     // Self-loop: vertex 0 lists itself.
     let looped = forge_v1(&[2, 1], &[0, 1, 0]);
-    let err = from_snapshot(bytes::Bytes::from(looped)).unwrap_err();
+    let err = from_snapshot(&looped).unwrap_err();
     assert!(err.to_string().contains("self-loop"), "{err}");
 
     // Asymmetry: 0 lists 1 but 1 does not list 0.
     let asym = forge_v1(&[1, 0], &[1]);
-    let err = from_snapshot(bytes::Bytes::from(asym)).unwrap_err();
+    let err = from_snapshot(&asym).unwrap_err();
     assert!(err.to_string().contains("not symmetric"), "{err}");
 
     // The same body normalized loads fine — the decoder verifies, it does
     // not normalize.
     let ok = forge_v1(&[1, 1], &[1, 0]);
-    let g = from_snapshot(bytes::Bytes::from(ok)).unwrap();
+    let g = from_snapshot(&ok).unwrap();
     assert_eq!(g.num_edges(), 1);
 }

@@ -30,23 +30,17 @@
 //! keep `Instant::now` off the common path; the exporter scales samples
 //! back to estimated totals.
 //!
-//! ## The `enabled` feature
+//! ## Attached or not
 //!
-//! With the `enabled` cargo feature off (the default), every type here is
-//! a zero-sized no-op and the entire recording surface compiles away —
-//! call sites in the engine and scheduler need no `#[cfg]`. Downstream
-//! crates re-expose the switch as their own `metrics` feature
-//! (`light-core/metrics`, `light-parallel/metrics`, …), and the umbrella
-//! `light` binary turns it on by default so `light count … --profile`
-//! works out of the box.
+//! Recording is always compiled in; what varies per run is whether a live
+//! [`Recorder`] is attached. An unattached run holds
+//! [`Recorder::disabled`], whose shards are inert, so `light count`
+//! without `--profile` pays one predictable branch per recording site.
 //!
-//! Behavior neutrality (identical match counts with metrics on, off, or
-//! unattached) is pinned by `tests/metrics_neutrality.rs` at the workspace
+//! Behavior neutrality (identical match counts with a recorder attached
+//! or not) is pinned by `tests/metrics_neutrality.rs` at the workspace
 //! root; the zero-allocation hot-path proof in
-//! `crates/core/tests/zero_alloc.rs` holds in both configurations.
-
-/// Whether the crate was built with recording compiled in.
-pub const ENABLED: bool = cfg!(feature = "enabled");
+//! `crates/core/tests/zero_alloc.rs` covers both.
 
 /// Maximum σ slots (pattern vertices) tracked. Patterns are `u8`-indexed
 /// and ≤ 16 vertices in practice; indices beyond the cap saturate into the
@@ -182,15 +176,8 @@ pub fn hist_bucket_lo(i: usize) -> u64 {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod real;
-#[cfg(feature = "enabled")]
-pub use real::{LocalRecorder, Recorder, Stopwatch};
-
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::{LocalRecorder, Recorder, Stopwatch};
+mod recorder;
+pub use recorder::{LocalRecorder, Recorder, Stopwatch};
 
 #[cfg(test)]
 mod tests {
@@ -234,7 +221,6 @@ mod tests {
         assert_eq!(sw.stop(), None);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn active_recorder_roundtrip() {
         let r = Recorder::new();
@@ -290,7 +276,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn stopwatch_measures_when_sampling() {
         let sw = Stopwatch::start(true);
@@ -299,7 +284,6 @@ mod tests {
         assert!(ns.is_some());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn saturating_indices_do_not_panic() {
         let r = Recorder::new();

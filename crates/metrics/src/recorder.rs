@@ -1,4 +1,4 @@
-//! The recording implementation compiled in under the `enabled` feature.
+//! The recording implementation: local shards and the atomic aggregate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -978,13 +978,9 @@ mod tests {
         );
         assert!(pr.report.matches > 0);
         let json = rec.to_json();
-        if light_metrics::ENABLED {
-            assert!(json.contains("\"scheduler\""), "{json}");
-            assert!(json.contains("\"workers\""), "{json}");
-            assert!(json.contains("\"slots\""), "{json}");
-        } else {
-            assert!(json.contains("\"enabled\": false"), "{json}");
-        }
+        assert!(json.contains("\"scheduler\""), "{json}");
+        assert!(json.contains("\"workers\""), "{json}");
+        assert!(json.contains("\"slots\""), "{json}");
     }
 
     #[test]

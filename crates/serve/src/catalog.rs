@@ -510,7 +510,9 @@ mod tests {
         let text = dir.join("g.txt");
         let bin = dir.join("g.bin");
         light_graph::io::write_edge_list(&g, std::fs::File::create(&text).unwrap()).unwrap();
-        light_graph::io::save_snapshot(&g, &bin).unwrap();
+        // Written as `light convert` does: degree-ordered v2.
+        let ordered = light_graph::ordered::into_degree_ordered(&g).0;
+        light_graph::io::save_snapshot_v2(&ordered, &bin).unwrap();
 
         let mut cat = GraphCatalog::new();
         cat.load_spec(&format!("t={},b={}", text.display(), bin.display()))
@@ -526,9 +528,10 @@ mod tests {
         assert_eq!(t.view().stats.num_edges, b.view().stats.num_edges);
         assert_eq!(t.view().stats.triangles, b.view().stats.triangles);
         assert!(cat.sole_entry().is_none());
-        // v1 snapshots and text lists always decode onto the heap.
+        // Text lists decode onto the heap; an ordered v2 snapshot maps.
         assert_eq!(t.backend(), "heap");
-        assert_eq!(b.backend(), "heap");
+        #[cfg(all(target_os = "linux", target_endian = "little"))]
+        assert_eq!(b.backend(), "mmap");
         // Fresh entries start at generation 0 with a clean overlay.
         assert_eq!(t.generation(), 0);
         assert_eq!(t.pending_edges(), 0);

@@ -394,8 +394,7 @@ pub struct QueryService {
     pub metrics: ServiceMetrics,
     /// Long-lived engine recorder attached to every query: aggregate
     /// COMP/MAT/setops/scheduler metrics across the daemon's lifetime
-    /// flow through the standard `light-metrics` pipeline (active only
-    /// when the `metrics` feature is compiled in).
+    /// flow through the standard `light-metrics` pipeline.
     recorder: light_metrics::Recorder,
     /// Drain signal shared with the signal handler / listener threads.
     shutdown: CancelToken,

@@ -169,9 +169,8 @@ impl Intersector {
 
     /// [`Intersector::intersect_into`] that additionally records the
     /// dispatch decision (operand lengths, skew ratio, tier, kernel) into
-    /// a metrics shard. The shard is a no-op unless the `metrics` feature
-    /// is on and a live recorder is attached, so this is the same hot
-    /// path either way.
+    /// a metrics shard. The shard is a no-op unless a live recorder is
+    /// attached, so this is the same hot path either way.
     #[inline]
     pub fn intersect_into_recorded(
         &self,

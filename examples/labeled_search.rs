@@ -8,8 +8,10 @@
 //!
 //! Run with: `cargo run --release --example labeled_search`
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
+use light::core::visitor::FnVisitor;
 use light::prelude::*;
 
 const ENGINEER: u8 = 0;
@@ -48,12 +50,14 @@ fn main() {
 
     let plan = cfg.plan(&triangle, &g);
     let mut count = 0u64;
-    for m in light::core::MatchIter::new(&plan, &g, &cfg) {
+    let mut visitor = FnVisitor(|m: &[VertexId]| {
         if m[1] < m[2] {
             // residual symmetry: u1 <-> u2
             count += 1;
         }
-    }
+        ControlFlow::Continue(())
+    });
+    light::core::engine::run_plan(&plan, &g, &cfg, &mut visitor);
     println!("manager-engineer-engineer triangles: {count}");
 
     // Cross-check: all triangles minus label-filtered should dominate.

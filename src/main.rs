@@ -195,8 +195,7 @@ USAGE:
   --profile prints a JSON profile to stdout (per-slot COMP/MAT timings,
   candidate histograms, setops tier counters, auxiliary-cache hit rates,
   per-worker scheduler stats) and moves the human-readable summary to
-  stderr. Requires the default `metrics` feature; without it the document
-  is {{\"enabled\": false}}.
+  stderr.
 
   --delta sets the Hybrid kernel's galloping threshold (paper: 50).
   --no-aux-cache disables the auxiliary candidate cache (DESIGN.md §11);
@@ -211,12 +210,13 @@ USAGE:
 
   Converts between text edge lists and binary LIGHTCSR snapshots (input
   format auto-detected by magic bytes; output defaults to snapshot).
-  Snapshots load ~10-100x faster than text and are written degree-ordered,
-  so `light count --graph g.bin` and the serve catalog skip the relabel.
-  snapshot-v2 page-aligns the CSR arrays so count/serve open the file
-  zero-copy via mmap: no decode pass, resident memory tracks what the
-  query touches instead of 2x the graph size. Converting a file onto
-  itself is refused; overwriting another existing file warns.
+  Snapshots are written as v2 (snapshot-v2 is a synonym) and
+  degree-ordered, so `light count --graph g.bin` and the serve catalog
+  skip the relabel. v2 page-aligns the CSR arrays so count/serve open the
+  file zero-copy via mmap: no decode pass, resident memory tracks what the
+  query touches instead of 2x the graph size. Legacy v1 snapshots still
+  load everywhere (on the heap); converting one writes v2. Converting a
+  file onto itself is refused; overwriting another existing file warns.
 
   light serve    --graphs <name=path,name=dataset:<ds>[@scale],..>
                  [--socket <path>] [--transport epoll|threads]
@@ -462,9 +462,6 @@ fn cmd_count(opts: &Opts) -> Result<ExitCode, String> {
     let recorder = light::metrics::Recorder::new();
     if profile {
         cfg = cfg.metrics(recorder.clone());
-        if !light::metrics::ENABLED {
-            eprintln!("warning: built without the `metrics` feature; --profile will be empty");
-        }
     }
 
     // --profile always routes through the parallel driver (even for one
@@ -629,31 +626,14 @@ fn cmd_stats(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `light convert <in> <out> [--to snapshot|edge-list]` — re-encode a
-/// graph file. Input format is auto-detected by magic bytes; the output
-/// defaults to a binary `LIGHTCSR` snapshot. The graph is normalized to
+/// `light convert <in> <out> [--to snapshot|snapshot-v2|edge-list]` —
+/// re-encode a graph file. Input format is auto-detected by magic bytes
+/// (v1 snapshots included, so this is their upgrade path); the output
+/// defaults to a v2 `LIGHTCSR` snapshot. The graph is normalized to
 /// the degree-ordered ID space on the way through, so converted snapshots
 /// load straight into `light count` / `light serve` with no relabel pass.
 fn cmd_convert(args: &[String]) -> Result<(), String> {
     use light::graph::io::GraphFormat;
-
-    /// Output encodings `--to` accepts (one more than [`GraphFormat`]
-    /// distinguishes on input, where both snapshot versions auto-detect).
-    #[derive(PartialEq, Clone, Copy)]
-    enum OutFormat {
-        SnapshotV1,
-        SnapshotV2,
-        EdgeList,
-    }
-    impl OutFormat {
-        fn name(self) -> &'static str {
-            match self {
-                OutFormat::SnapshotV1 => "snapshot",
-                OutFormat::SnapshotV2 => "snapshot-v2",
-                OutFormat::EdgeList => "edge-list",
-            }
-        }
-    }
 
     let mut positional: Vec<&String> = Vec::new();
     let mut to: Option<&str> = None;
@@ -671,10 +651,10 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     let [input, output] = positional[..] else {
         return Err("usage: light convert <in> <out> [--to snapshot|snapshot-v2|edge-list]".into());
     };
+    // `snapshot-v2` stays accepted as a synonym: scripts spell it out.
     let out_format = match to {
-        None | Some("snapshot") => OutFormat::SnapshotV1,
-        Some("snapshot-v2") => OutFormat::SnapshotV2,
-        Some("edge-list") => OutFormat::EdgeList,
+        None | Some("snapshot") | Some("snapshot-v2") => GraphFormat::Snapshot,
+        Some("edge-list") => GraphFormat::EdgeList,
         Some(other) => return Err(format!("unknown --to format {other:?}")),
     };
 
@@ -712,11 +692,9 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
 
     let t1 = std::time::Instant::now();
     match out_format {
-        OutFormat::SnapshotV1 => light::graph::io::save_snapshot(&g, output)
+        GraphFormat::Snapshot => light::graph::io::save_snapshot_v2(&g, output)
             .map_err(|e| format!("cannot write {output}: {e}"))?,
-        OutFormat::SnapshotV2 => light::graph::io::save_snapshot_v2(&g, output)
-            .map_err(|e| format!("cannot write {output}: {e}"))?,
-        OutFormat::EdgeList => {
+        GraphFormat::EdgeList => {
             let f = std::fs::File::create(output)
                 .map_err(|e| format!("cannot create {output}: {e}"))?;
             light::graph::io::write_edge_list(&g, f)
@@ -732,7 +710,7 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
         g.num_edges()
     );
     println!("load: {load_ms:.1} ms, write: {write_ms:.1} ms");
-    if in_format == GraphFormat::EdgeList && out_format != OutFormat::EdgeList {
+    if in_format == GraphFormat::EdgeList && out_format == GraphFormat::Snapshot {
         let t2 = std::time::Instant::now();
         let _ = light::graph::io::load_any(output)
             .map_err(|e| format!("verify reload of {output} failed: {e}"))?;

